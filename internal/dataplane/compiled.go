@@ -21,11 +21,17 @@ package dataplane
 //     ascending, insertion sequence ascending.
 //
 // The engine is immutable once built and stamped with the table
-// generation that produced it; any table mutation bumps the generation,
-// and the next lookup rebuilds. Correctness is enforced differentially:
+// generation that produced it. It is a base, not a mirror: additive
+// mutations (Add, AddBatch) leave it in place, and a lookup folds its
+// answer over the add-log entries newer than its stamp (addLog.fold in
+// table.go) — the same rule that revalidates a cached verdict, exact for
+// the same reason. It is rebuilt only once it is older than the log's
+// floor, which a destructive mutation (DeleteCookie, Replace, Flush)
+// causes at once and additive ones after addLogBound entries, or on
+// Precompile. Correctness is enforced differentially:
 // internal/dataplane/difftest replays seeded traffic through this engine
 // and the naive scan over the compiletest corpus, and FuzzCompiledLookup
-// does the same on fuzzer-chosen rule sets.
+// does the same on fuzzer-chosen rule sets and install sequences.
 
 import (
 	"sdx/internal/iputil"

@@ -3,7 +3,9 @@ package dataplane
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sdx/internal/iputil"
@@ -204,56 +206,265 @@ func TestGenerationAdvancesOnNoOpMutations(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationRandomizedOps hammers a table with random
-// mutations interleaved with lookups; after every mutation the compiled
-// verdict must equal the naive oracle for a fresh probe set.
-func TestCacheInvalidationRandomizedOps(t *testing.T) {
-	r := rand.New(rand.NewSource(2026))
+// checkAgainstNaive asserts Lookup (twice: as found, then freshly
+// stamped) and ProcessBatch agree with the naive oracle on every probe —
+// entries by pointer, hence full (priority, cookie, seq) identity.
+func checkAgainstNaive(t *testing.T, stage string, tbl *FlowTable, probes []pkt.Packet) {
+	t.Helper()
+	for _, p := range probes {
+		want := tbl.LookupNaive(p)
+		for pass := 0; pass < 2; pass++ {
+			if got := tbl.Lookup(p); got != want {
+				t.Fatalf("%s: pass %d: compiled %s != naive %s for %v", stage, pass, entryID(got), entryID(want), p)
+			}
+		}
+	}
+	var want []pkt.Packet
+	wantMisses := 0
+	for _, p := range probes {
+		outs := tbl.ProcessNaive(p)
+		if outs == nil {
+			wantMisses++
+		}
+		want = append(want, outs...)
+	}
+	misses := 0
+	got := tbl.ProcessBatch(probes, nil, func(pkt.Packet) { misses++ })
+	if misses != wantMisses || len(got) != len(want) {
+		t.Fatalf("%s: ProcessBatch %d outputs/%d misses, naive %d/%d", stage, len(got), misses, len(want), wantMisses)
+	}
+	for i := range got {
+		if !got[i].SameHeader(want[i]) {
+			t.Fatalf("%s: ProcessBatch output %d: %v != %v", stage, i, got[i], want[i])
+		}
+	}
+}
+
+// TestRevalidationProperty drives random interleavings of every mutation
+// with warm-cache lookups. After every step the compiled path must equal
+// the naive oracle on a warm probe set and on fresh probes. After an
+// additive step (any batch the log can hold) it must have got there
+// without a single cache miss or engine build on the warm set — installs
+// revalidate, they do not invalidate, and since every step restamps the
+// warm verdicts the sliding floor never catches up with them — and a
+// warm key that no new entry matches must keep its exact verdict.
+func TestRevalidationProperty(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		r := rand.New(rand.NewSource(2026 + seed))
+		tbl := NewFlowTable()
+		var installed []*FlowEntry
+		for i := 0; i < 40; i++ {
+			installed = append(installed, randEntry(r))
+		}
+		tbl.AddBatch(installed)
+		warm := make([]pkt.Packet, 48)
+		for i := range warm {
+			warm[i] = randPacket(r, installed)
+		}
+		checkAgainstNaive(t, "setup", tbl, warm)
+
+		for step := 0; step < 150; step++ {
+			stage := fmt.Sprintf("seed %d step %d", seed, step)
+			prev := make([]*FlowEntry, len(warm))
+			for i, p := range warm {
+				prev[i] = tbl.Lookup(p)
+			}
+			before, builds, gen := tbl.Stats(), tbl.EngineBuilds(), tbl.Generation()
+
+			var added []*FlowEntry
+			additive := true
+			switch op := r.Intn(10); {
+			case op < 4:
+				added = []*FlowEntry{randEntry(r)}
+				tbl.Add(added[0])
+			case op < 7:
+				for i := 0; i < r.Intn(12); i++ {
+					added = append(added, randEntry(r))
+				}
+				tbl.AddBatch(added)
+			case op == 7:
+				additive = false
+				tbl.DeleteCookie(uint64(r.Intn(4)))
+			case op == 8:
+				additive = false
+				for i := 0; i < r.Intn(8); i++ {
+					added = append(added, randEntry(r))
+				}
+				tbl.Replace(uint64(r.Intn(4)), added)
+			default:
+				additive = false
+				if r.Intn(4) == 0 {
+					tbl.Flush()
+				} else {
+					tbl.DeleteCookie(99) // destructive, removes nothing
+				}
+			}
+			installed = append(installed, added...)
+			if tbl.Generation() <= gen {
+				t.Fatalf("%s: generation did not advance", stage)
+			}
+
+			checkAgainstNaive(t, stage, tbl, warm)
+			if additive {
+				after := tbl.Stats()
+				if after.Misses != before.Misses || tbl.EngineBuilds() != builds {
+					t.Fatalf("%s: additive install cost the warm set %d misses and %d engine builds, want 0 and 0",
+						stage, after.Misses-before.Misses, tbl.EngineBuilds()-builds)
+				}
+				for i, p := range warm {
+					touched := false
+					for _, e := range added {
+						touched = touched || e.Match.Matches(p)
+					}
+					if got := tbl.Lookup(p); !touched && got != prev[i] {
+						t.Fatalf("%s: verdict for %v moved %s -> %s though no new entry matches it",
+							stage, p, entryID(prev[i]), entryID(got))
+					}
+				}
+			}
+			fresh := make([]pkt.Packet, 16)
+			for i := range fresh {
+				fresh[i] = randPacket(r, installed)
+			}
+			checkAgainstNaive(t, stage+" (fresh probes)", tbl, fresh)
+		}
+	}
+}
+
+// TestAdditivePrecedence pins the fold rule on a cached key: a new entry
+// takes the key over exactly when it matches and precedes the cached
+// winner under (priority desc, cookie asc, seq asc) — and every case is
+// settled by revalidation alone, with no miss and no engine build.
+func TestAdditivePrecedence(t *testing.T) {
+	probe := pkt.Packet{DstIP: iputil.MustParseAddr("10.1.2.3"), DstPort: 80}
+	base := func() *FlowEntry {
+		return &FlowEntry{Priority: 5, Match: pkt.MatchAll.DstPort(80), Actions: []pkt.Action{pkt.Output(1)}, Cookie: 2}
+	}
+	cases := []struct {
+		name  string
+		base  *FlowEntry // nil: the key starts as a cached miss
+		add   *FlowEntry
+		flips bool
+	}{
+		{"higher priority, overlapping", base(), &FlowEntry{Priority: 9, Match: pkt.MatchAll, Cookie: 3}, true},
+		{"higher priority, more specific", base(), &FlowEntry{Priority: 9, Match: pkt.MatchAll.DstPort(80).DstIP(pfx("10.1.0.0/16")), Cookie: 3}, true},
+		{"higher priority, disjoint", base(), &FlowEntry{Priority: 9, Match: pkt.MatchAll.DstPort(443), Cookie: 3}, false},
+		{"lower priority", base(), &FlowEntry{Priority: 1, Match: pkt.MatchAll, Cookie: 0}, false},
+		{"equal priority, higher cookie", base(), &FlowEntry{Priority: 5, Match: pkt.MatchAll, Cookie: 3}, false},
+		{"equal priority, lower cookie", base(), &FlowEntry{Priority: 5, Match: pkt.MatchAll, Cookie: 1}, true},
+		{"equal priority and cookie, later seq", base(), &FlowEntry{Priority: 5, Match: pkt.MatchAll, Cookie: 2}, false},
+		{"cached miss becomes a hit", nil, &FlowEntry{Priority: 0, Match: pkt.MatchAll.DstPort(80), Cookie: 9}, true},
+		{"cached miss stays a miss", nil, &FlowEntry{Priority: 9, Match: pkt.MatchAll.DstPort(443), Cookie: 0}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := NewFlowTable()
+			tbl.Add(&FlowEntry{Priority: 7, Match: pkt.MatchAll.DstPort(22), Cookie: 1}) // bystander
+			if tc.base != nil {
+				tbl.Add(tc.base)
+			}
+			if got := tbl.Lookup(probe); got != tc.base {
+				t.Fatalf("setup: lookup = %s", entryID(got))
+			}
+			before, builds := tbl.Stats(), tbl.EngineBuilds()
+			tbl.AddBatch([]*FlowEntry{tc.add})
+			want := tc.base
+			if tc.flips {
+				want = tc.add
+			}
+			if got := tbl.Lookup(probe); got != want {
+				t.Fatalf("lookup = %s, want %s", entryID(got), entryID(want))
+			}
+			if naive := tbl.LookupNaive(probe); naive != want {
+				t.Fatalf("oracle disagrees with the case table: %s", entryID(naive))
+			}
+			after := tbl.Stats()
+			if after.Misses != before.Misses || after.Hits != before.Hits+1 || tbl.EngineBuilds() != builds {
+				t.Fatalf("not settled by revalidation: stats %+v -> %+v, builds %d -> %d", before, after, builds, tbl.EngineBuilds())
+			}
+		})
+	}
+}
+
+// TestAddLogBound drives past addLogBound. One hot key is looked up
+// after every install, one idle key only at the ends. The floor must
+// slide, not reset: the hot verdict is never lost however many entries
+// go by, the idle one is stranded once a full window has passed it, and
+// a single batch larger than the log strands everything — all three
+// still answering exactly like the oracle.
+func TestAddLogBound(t *testing.T) {
 	tbl := NewFlowTable()
-	tbl.SetCompiled(true)
+	tbl.Add(&FlowEntry{Priority: 1, Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Output(1)}})
+	hot, idle := pkt.Packet{DstPort: 80}, pkt.Packet{DstPort: 81}
+	tbl.Lookup(hot)
+	tbl.Lookup(idle)
+	rule := func(i int) *FlowEntry {
+		// Even rules catch the hot key at rising priority, odd ones
+		// catch nothing cached.
+		m := pkt.MatchAll.DstPort(80)
+		if i%2 == 1 {
+			m = pkt.MatchAll.DstPort(uint16(1000 + i))
+		}
+		return &FlowEntry{Priority: 2 + i, Match: m, Actions: []pkt.Action{pkt.Output(2)}}
+	}
+
+	start, n := tbl.Stats(), 0
+	for ; n < 3*addLogBound; n++ {
+		tbl.Add(rule(n))
+		if got, want := tbl.Lookup(hot), tbl.LookupNaive(hot); got != want {
+			t.Fatalf("install %d: hot key %s, naive %s", n, entryID(got), entryID(want))
+		}
+	}
+	if st := tbl.Stats(); st.Misses != start.Misses || tbl.EngineBuilds() != 1 {
+		t.Fatalf("hot key lost its verdict across %d installs: %d misses, %d engine builds (want 0 more, 1)",
+			n, st.Misses-start.Misses, tbl.EngineBuilds())
+	}
+	if got, want := tbl.Lookup(idle), tbl.LookupNaive(idle); got != want {
+		t.Fatalf("idle key %s, naive %s", entryID(got), entryID(want))
+	}
+	if st := tbl.Stats(); st.Misses != start.Misses+1 || tbl.EngineBuilds() != 2 {
+		t.Fatalf("idle key behind the floor: %d misses, %d engine builds, want 1 and 2", st.Misses-start.Misses, tbl.EngineBuilds())
+	}
+
+	var big []*FlowEntry
+	for i := 0; i <= addLogBound; i++ {
+		big = append(big, rule(n+i))
+	}
+	tbl.AddBatch(big)
+	for _, p := range []pkt.Packet{hot, idle} {
+		if got, want := tbl.Lookup(p), tbl.LookupNaive(p); got != want {
+			t.Fatalf("after oversized batch: %s, naive %s", entryID(got), entryID(want))
+		}
+	}
+	if st := tbl.Stats(); st.Misses != start.Misses+3 || tbl.EngineBuilds() != 3 {
+		t.Fatalf("oversized batch: %d misses, %d engine builds, want 3 and 3", st.Misses-start.Misses, tbl.EngineBuilds())
+	}
+}
+
+// TestInstallsPastCacheCapacity streams more distinct headers than the
+// cache holds while entries keep arriving, so shards are cleared
+// wholesale between, and in the middle of, revalidations.
+func TestInstallsPastCacheCapacity(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	tbl := NewFlowTable()
+	tbl.SetCacheCapacity(4) // 64 verdicts in all
 	var installed []*FlowEntry
-	lastGen := tbl.Generation()
-	for step := 0; step < 200; step++ {
-		mutated := true
-		switch r.Intn(5) {
-		case 0:
-			e := randEntry(r)
-			installed = append(installed, e)
-			tbl.Add(e)
-		case 1:
-			var batch []*FlowEntry
-			for i := 0; i < 1+r.Intn(10); i++ {
-				batch = append(batch, randEntry(r))
-			}
-			installed = append(installed, batch...)
-			tbl.AddBatch(batch)
-		case 2:
-			tbl.DeleteCookie(uint64(r.Intn(4)))
-		case 3:
-			var batch []*FlowEntry
-			for i := 0; i < r.Intn(8); i++ {
-				batch = append(batch, randEntry(r))
-			}
-			tbl.Replace(uint64(r.Intn(4)), batch)
-		case 4:
-			if r.Intn(8) == 0 {
-				tbl.Flush()
-			} else {
-				mutated = false
-			}
-		}
-		if g := tbl.Generation(); g <= lastGen {
-			if mutated {
-				t.Fatalf("step %d: generation did not advance (%d -> %d)", step, lastGen, g)
-			}
-		} else {
-			lastGen = g
-		}
-		for probe := 0; probe < 20; probe++ {
-			p := randPacket(r, installed)
-			if got, want := tbl.Lookup(p), tbl.LookupNaive(p); got != want {
-				t.Fatalf("step %d: compiled %s != naive %s for %v", step, entryID(got), entryID(want), p)
-			}
+	for i := 0; i < 30; i++ {
+		installed = append(installed, randEntry(r))
+	}
+	tbl.AddBatch(installed)
+	stream := make([]pkt.Packet, 400)
+	for i := range stream {
+		stream[i] = randPacket(r, installed)
+	}
+	for round := 0; round < 2*addLogBound; round++ {
+		e := randEntry(r)
+		installed = append(installed, e)
+		tbl.Add(e)
+		lo := round * 7 % (len(stream) - 100)
+		checkAgainstNaive(t, fmt.Sprintf("round %d", round), tbl, stream[lo:lo+100])
+		if n := tbl.Stats().Entries; n > cacheShards*4 {
+			t.Fatalf("round %d: cache holds %d verdicts, bound is %d", round, n, cacheShards*4)
 		}
 	}
 }
@@ -336,6 +547,85 @@ func TestConcurrentMutateWhileLookup(t *testing.T) {
 	}
 }
 
+// TestConcurrentAdditiveWhileForwarding races additive batches against
+// forwarding goroutines. While a table only grows, a key's verdict can
+// only move up in precedence, so each reader checks that its own
+// successive verdicts per key are monotone under entryBefore — a
+// revalidation that lost an entry, or a racing put that resurrected an
+// older verdict as current, shows up as a step backwards. The writer
+// waits for a reader pass between installs so generations are actually
+// observed in flight.
+func TestConcurrentAdditiveWhileForwarding(t *testing.T) {
+	tbl := NewFlowTable()
+	r := rand.New(rand.NewSource(4))
+	var seed []*FlowEntry
+	for i := 0; i < 50; i++ {
+		seed = append(seed, randEntry(r))
+	}
+	tbl.AddBatch(seed)
+
+	const readers = 4
+	var passes atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rr := rand.New(rand.NewSource(seed))
+			pkts := make([]pkt.Packet, 32)
+			for i := range pkts {
+				pkts[i] = randPacket(rr, seed2Entries)
+			}
+			last := make([]*FlowEntry, len(pkts))
+			out := make([]pkt.Packet, 0, 4*len(pkts))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, p := range pkts {
+					e := tbl.Lookup(p)
+					if e != nil && !e.Match.Matches(p) {
+						t.Errorf("lookup returned non-matching entry %s for %v", e, p)
+						return
+					}
+					if last[i] != nil && e != last[i] && (e == nil || !entryBefore(e, last[i])) {
+						t.Errorf("verdict for %v went backwards: %s after %s", p, entryID(e), entryID(last[i]))
+						return
+					}
+					last[i] = e
+				}
+				out = tbl.ProcessBatch(pkts, out[:0], nil)
+				passes.Add(1)
+			}
+		}(int64(g) + 200)
+	}
+
+	mut := rand.New(rand.NewSource(9))
+	for step := 0; step < 300 && !t.Failed(); step++ {
+		var batch []*FlowEntry
+		for i := 0; i < 1+mut.Intn(5); i++ {
+			batch = append(batch, randEntry(mut))
+		}
+		tbl.AddBatch(batch)
+		for seen := passes.Load(); passes.Load() == seen && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	rr := rand.New(rand.NewSource(77))
+	for i := 0; i < 200; i++ {
+		p := randPacket(rr, seed2Entries)
+		if got, want := tbl.Lookup(p), tbl.LookupNaive(p); got != want {
+			t.Fatalf("post-quiesce: compiled %s != naive %s for %v", entryID(got), entryID(want), p)
+		}
+	}
+}
+
 // seed2Entries gives concurrent readers a stable entry set to bias
 // probe destinations with (the live table mutates underneath them).
 var seed2Entries = func() []*FlowEntry {
@@ -399,6 +689,38 @@ func TestLookupZeroAllocWarm(t *testing.T) {
 	tbl.ProcessBatch(in, out[:0], nil) // warm every header in the batch
 	if n := testing.AllocsPerRun(100, func() { out = tbl.ProcessBatch(in, out[:0], nil) }); n != 0 {
 		t.Errorf("warm ProcessBatch allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestRevalidationZeroAlloc: carrying a cached verdict across an install
+// — fold, restamp in place — allocates nothing, whether the new entry
+// takes the key over or not, and never leaves the cache.
+func TestRevalidationZeroAlloc(t *testing.T) {
+	const runs = 100
+	tbl := NewFlowTable()
+	tbl.Add(&FlowEntry{Priority: 1, Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Output(1)}})
+	keys := make([]pkt.Packet, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range keys {
+		keys[i] = pkt.Packet{DstPort: uint16(80 + i%2), SrcPort: uint16(i)}
+		tbl.Lookup(keys[i])
+	}
+	tbl.AddBatch([]*FlowEntry{
+		{Priority: 9, Match: pkt.MatchAll.DstPort(80), Actions: []pkt.Action{pkt.Output(2)}},
+		{Priority: 0, Match: pkt.MatchAll.DstPort(81), Actions: []pkt.Action{pkt.Output(3)}},
+	})
+	before, builds := tbl.Stats(), tbl.EngineBuilds()
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() { tbl.Lookup(keys[i]); i++ }); n != 0 {
+		t.Errorf("revalidating Lookup allocates %.1f/op, want 0", n)
+	}
+	after := tbl.Stats()
+	if after.Hits != before.Hits+runs+1 || after.Misses != before.Misses || tbl.EngineBuilds() != builds {
+		t.Fatalf("lookups were not revalidations: stats %+v -> %+v, builds %d -> %d", before, after, builds, tbl.EngineBuilds())
+	}
+	for _, p := range keys {
+		if got, want := tbl.Lookup(p), tbl.LookupNaive(p); got != want {
+			t.Fatalf("revalidated %s, naive %s for %v", entryID(got), entryID(want), p)
+		}
 	}
 }
 
@@ -466,26 +788,67 @@ func TestCacheCapacityBound(t *testing.T) {
 	}
 }
 
-// TestEngineBuildsLazy: the dispatch structure is rebuilt at most once
-// per generation, and only when a lookup (or Precompile) needs it.
+// TestEngineBuildsLazy: the dispatch structure is built only when a
+// cache-missing lookup finds it behind the add-log's floor — never
+// before the first lookup, never for an additive install the log still
+// covers, once per destructive mutation or slid-past window — or when
+// Precompile asks for one at the current generation.
 func TestEngineBuildsLazy(t *testing.T) {
 	tbl := NewFlowTable()
-	tbl.SetCompiled(true)
+	port := uint16(0)
+	add := func() {
+		port++
+		tbl.Add(&FlowEntry{Priority: int(port), Match: pkt.MatchAll.DstPort(port), Actions: []pkt.Action{pkt.Output(1)}})
+	}
+	// missLookup looks up a never-seen header, so the engine (and not the
+	// cache) must answer, and checks it answers for the newest rule.
+	src := uint16(0)
+	missLookup := func() {
+		t.Helper()
+		src++
+		if e := tbl.Lookup(pkt.Packet{DstPort: port, SrcPort: src}); e == nil || e.Priority != int(port) {
+			t.Fatalf("lookup for rule %d = %s", port, entryID(e))
+		}
+	}
+	wantBuilds := func(want uint64, when string) {
+		t.Helper()
+		if got := tbl.EngineBuilds(); got != want {
+			t.Fatalf("EngineBuilds = %d %s, want %d", got, when, want)
+		}
+	}
+
 	for i := 0; i < 10; i++ {
-		tbl.Add(&FlowEntry{Priority: i, Match: pkt.MatchAll.DstPort(uint16(i)), Actions: []pkt.Action{pkt.Output(1)}})
+		add()
 	}
-	if tbl.EngineBuilds() != 0 {
-		t.Fatalf("engine built before any lookup: %d", tbl.EngineBuilds())
+	wantBuilds(0, "before any lookup")
+	missLookup()
+	missLookup()
+	wantBuilds(1, "after lookups at one generation")
+
+	for i := 0; i < addLogBound; i++ {
+		add()
+		missLookup()
 	}
-	tbl.Lookup(pkt.Packet{DstPort: 3})
-	tbl.Lookup(pkt.Packet{DstPort: 4})
-	tbl.Lookup(pkt.Packet{DstPort: 5})
-	if got := tbl.EngineBuilds(); got != 1 {
-		t.Fatalf("EngineBuilds = %d after lookups at one generation, want 1", got)
-	}
-	tbl.Add(&FlowEntry{Priority: 99, Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Output(2)}})
+	wantBuilds(1, "after a log's worth of additive installs")
+	add()
+	missLookup()
+	wantBuilds(2, "once the floor slid past the engine")
+
+	add()
 	tbl.Precompile()
-	if got := tbl.EngineBuilds(); got != 2 {
-		t.Fatalf("EngineBuilds = %d after mutation+Precompile, want 2", got)
-	}
+	wantBuilds(3, "after install+Precompile")
+	tbl.Precompile()
+	missLookup()
+	wantBuilds(3, "with the engine already current")
+
+	tbl.DeleteCookie(12345)
+	wantBuilds(3, "after a destructive mutation nobody looked past")
+	missLookup()
+	missLookup()
+	wantBuilds(4, "after the first lookup past a destructive mutation")
+	tbl.Replace(7, nil)
+	tbl.Flush()
+	add()
+	missLookup()
+	wantBuilds(5, "after several destructive mutations and one lookup")
 }

@@ -87,10 +87,13 @@ func decodePacket(c *fuzzCursor) pkt.Packet {
 }
 
 // FuzzCompiledLookup decodes arbitrary bytes into a rule set, a probe
-// set, and a mutation, then differentially checks the compiled engine
-// against the naive scan: identical chosen entries (cold and cache-warm)
-// and identical Process outputs, before and after the mutation — so the
-// fuzzer also hunts for stale-megaflow bugs, not just dispatch bugs.
+// set, a sequence of additive batches and a final mutation of any kind,
+// then differentially checks the compiled engine against the naive scan:
+// identical chosen entries (as found and freshly stamped) and identical
+// Process outputs, at the start and after every step. The probes are
+// warm from the previous pass when each batch lands, so the fuzzer hunts
+// for revalidation bugs — a fold that picks the wrong winner, a log that
+// slid past a verdict still being served — as well as dispatch bugs.
 func FuzzCompiledLookup(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x03\x01\x0a\x00\x18\x02\x00\x00\x00\x05\x01" + "\x01\x0a\x00\x00\x00\x00\x01"))
@@ -107,7 +110,6 @@ func FuzzCompiledLookup(f *testing.F) {
 		for i := 0; i < nPkts; i++ {
 			pkts = append(pkts, decodePacket(c))
 		}
-		mutSel := c.byte()
 
 		tbl := NewFlowTable()
 		tbl.SetCompiled(true)
@@ -116,7 +118,7 @@ func FuzzCompiledLookup(f *testing.F) {
 		checkAll := func(stage string) {
 			for i, p := range pkts {
 				want := tbl.LookupNaive(p)
-				for _, pass := range []string{"cold", "warm"} {
+				for _, pass := range []string{"as found", "restamped"} {
 					if got := tbl.Lookup(p); got != want {
 						t.Fatalf("%s: packet %d (%s): compiled %s, naive %s",
 							stage, i, pass, entryID(got), entryID(want))
@@ -135,14 +137,34 @@ func FuzzCompiledLookup(f *testing.F) {
 		}
 
 		checkAll("initial")
+		// Up to 7 batches, each up to a little over the add-log's bound:
+		// enough to slide its floor several times over, or to overflow it
+		// in one batch.
+		for round, rounds := 0, int(c.byte()%8); round < rounds; round++ {
+			gen := tbl.Generation()
+			if n := int(c.byte()) % (addLogBound + 8); n == 0 {
+				tbl.Add(decodeRule(c))
+			} else {
+				batch := make([]*FlowEntry, n)
+				for i := range batch {
+					batch[i] = decodeRule(c)
+				}
+				tbl.AddBatch(batch)
+			}
+			if tbl.Generation() == gen {
+				t.Fatalf("additive batch %d did not advance generation", round)
+			}
+			checkAll("after additive batch")
+		}
+		mutSel := c.byte()
 		gen := tbl.Generation()
 		switch mutSel % 4 {
 		case 0:
 			tbl.Add(decodeRule(c))
 		case 1:
-			tbl.DeleteCookie(uint64(mutSel % 4))
+			tbl.DeleteCookie(uint64(mutSel>>2) % 4)
 		case 2:
-			tbl.Replace(uint64(mutSel%4), []*FlowEntry{decodeRule(c), decodeRule(c)})
+			tbl.Replace(uint64(mutSel>>2)%4, []*FlowEntry{decodeRule(c), decodeRule(c)})
 		case 3:
 			tbl.Flush()
 		}

@@ -16,9 +16,12 @@ type PortStats struct {
 }
 
 type port struct {
-	id      pkt.PortID
-	name    string
-	deliver func(pkt.Packet)
+	id   pkt.PortID
+	name string
+	// deliver is read by every forwarding goroutine after the switch's
+	// lock is released and replaced by SetDeliver, hence atomic; nil
+	// means a counting sink.
+	deliver atomic.Pointer[func(pkt.Packet)]
 	rxPkts  atomic.Uint64
 	txPkts  atomic.Uint64
 	rxBytes atomic.Uint64
@@ -34,8 +37,9 @@ type port struct {
 // InjectBatch (synchronous, amortized over a batch with pooled output
 // slabs), and InjectAsync (queued to the ingress port's worker goroutine
 // when StartWorkers is active — per-port sharding means two ports never
-// contend on processing, only on the shared flow table's lock-free read
-// path).
+// contend on processing, only inside the shared flow table: its log and
+// engine are read through atomic pointers, but every lookup takes the
+// mutex of one of the megaflow cache's 16 shards, picked by header hash).
 type Switch struct {
 	name  string
 	table *FlowTable
@@ -88,7 +92,9 @@ func (s *Switch) AddPort(id pkt.PortID, name string, deliver func(pkt.Packet)) e
 	if _, dup := s.ports[id]; dup {
 		return fmt.Errorf("dataplane: duplicate port %d on %s", id, s.name)
 	}
-	s.ports[id] = &port{id: id, name: name, deliver: deliver}
+	pt := &port{id: id, name: name}
+	pt.setDeliver(deliver)
+	s.ports[id] = pt
 	return nil
 }
 
@@ -101,8 +107,26 @@ func (s *Switch) SetDeliver(id pkt.PortID, deliver func(pkt.Packet)) error {
 	if !ok {
 		return fmt.Errorf("dataplane: no port %d on %s", id, s.name)
 	}
-	pt.deliver = deliver
+	pt.setDeliver(deliver)
 	return nil
+}
+
+func (pt *port) setDeliver(deliver func(pkt.Packet)) {
+	if deliver == nil {
+		pt.deliver.Store(nil)
+		return
+	}
+	pt.deliver.Store(&deliver)
+}
+
+// emit counts q as transmitted on the port and hands it to the port's
+// delivery handler, if any.
+func (pt *port) emit(q pkt.Packet) {
+	pt.txPkts.Add(1)
+	pt.txBytes.Add(uint64(q.FrameLen()))
+	if d := pt.deliver.Load(); d != nil {
+		(*d)(q)
+	}
 }
 
 // RemovePort deregisters a port.
@@ -171,11 +195,7 @@ func (s *Switch) deliverOut(q pkt.Packet) bool {
 		s.drops.Add(1)
 		return false
 	}
-	out.txPkts.Add(1)
-	out.txBytes.Add(uint64(q.FrameLen()))
-	if out.deliver != nil {
-		out.deliver(q)
-	}
+	out.emit(q)
 	return true
 }
 
@@ -191,11 +211,13 @@ func (s *Switch) processBatch(ingress pkt.PortID, in []pkt.Packet, out []pkt.Pac
 		s.drops.Add(uint64(len(in)))
 		return out, 0
 	}
+	var rxBytes uint64
 	for i := range in {
-		pt.rxPkts.Add(1)
-		pt.rxBytes.Add(uint64(in[i].FrameLen()))
+		rxBytes += uint64(in[i].FrameLen())
 		in[i].InPort = ingress
 	}
+	pt.rxPkts.Add(uint64(len(in)))
+	pt.rxBytes.Add(rxBytes)
 	start := len(out)
 	out = s.table.ProcessBatch(in, out, s.miss)
 	emitted := 0
@@ -320,11 +342,7 @@ func (s *Switch) Output(egress pkt.PortID, p pkt.Packet) bool {
 		return false
 	}
 	p.InPort = egress
-	out.txPkts.Add(1)
-	out.txBytes.Add(uint64(p.FrameLen()))
-	if out.deliver != nil {
-		out.deliver(p)
-	}
+	out.emit(p)
 	return true
 }
 

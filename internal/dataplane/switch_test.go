@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sdx/internal/pkt"
@@ -277,5 +278,55 @@ func TestSwitchInjectAsyncWithoutWorkers(t *testing.T) {
 	}
 	if len(*sinks[2]) != 1 {
 		t.Fatalf("sink 2: %d packets", len(*sinks[2]))
+	}
+}
+
+// TestSetDeliverConcurrentWithInjectBatch: a border router may attach to
+// a port while the fabric is forwarding to it. The handler swap must be
+// race-free (run under -race) and lose no packet: each one emitted goes
+// to exactly one of the handlers.
+func TestSetDeliverConcurrentWithInjectBatch(t *testing.T) {
+	sw := NewSwitch("test")
+	var a, b atomic.Uint64
+	if err := sw.AddPort(1, "in", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.AddPort(2, "out", func(pkt.Packet) { a.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	sw.Table().Add(&FlowEntry{Priority: 1, Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Output(2)}})
+
+	const batches = 200
+	swapped := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-swapped:
+				return
+			default:
+			}
+			h := func(pkt.Packet) { a.Add(1) }
+			if i%2 == 0 {
+				h = func(pkt.Packet) { b.Add(1) }
+			}
+			if err := sw.SetDeliver(2, h); err != nil {
+				t.Error(err)
+				return
+			}
+			sw.Output(2, pkt.Packet{})
+		}
+	}()
+	emitted := 0
+	ps := make([]pkt.Packet, 64)
+	for i := 0; i < batches; i++ {
+		emitted += sw.InjectBatch(1, ps)
+	}
+	close(swapped)
+	<-done
+	tx, _ := sw.Stats(2)
+	if emitted != batches*len(ps) || a.Load()+b.Load() != tx.TxPackets {
+		t.Fatalf("emitted %d of %d; handlers saw %d+%d of %d transmitted", emitted, batches*len(ps), a.Load(), b.Load(), tx.TxPackets)
 	}
 }

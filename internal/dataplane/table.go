@@ -8,7 +8,6 @@ package dataplane
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -17,20 +16,6 @@ import (
 	"sdx/internal/pkt"
 	"sdx/internal/policy"
 )
-
-// engineDefault is the process-wide lookup engine default, resolved once
-// from the build-time constant (see engine_default.go / engine_naive.go)
-// and the SDX_DATAPLANE_ENGINE environment variable ("naive" or
-// "compiled"). Individual tables override it with SetCompiled.
-var engineDefault = func() bool {
-	switch os.Getenv("SDX_DATAPLANE_ENGINE") {
-	case "naive":
-		return false
-	case "compiled":
-		return true
-	}
-	return compiledByDefault
-}()
 
 // FlowEntry is one prioritized flow-table rule. Higher priority wins; ties
 // are broken deterministically by cookie (ascending), then by insertion
@@ -93,31 +78,37 @@ func (e *FlowEntry) String() string {
 
 // FlowTable is a concurrency-safe prioritized flow table. Lookups run,
 // by default, through a compiled dispatch structure (dst-prefix trie +
-// exact-field buckets, see compiled.go) fronted by a generation-stamped
-// megaflow cache (cache.go); the naive priority-ordered scan remains
-// available as LookupNaive/ProcessNaive, the reference oracle the
+// exact-field buckets, see compiled.go) fronted by a megaflow cache of
+// generation-stamped verdicts (cache.go); the naive priority-ordered scan
+// remains available as LookupNaive/ProcessNaive, the reference oracle the
 // differential and fuzz harnesses compare against, and can be made the
-// table's engine via SetCompiled(false), SDX_DATAPLANE_ENGINE=naive, or
-// the sdx_naive_dataplane build tag.
+// table's engine via SetCompiled(false).
+//
+// Mutations come in two kinds. Destructive ones (DeleteCookie, Replace,
+// Flush) can remove a cached verdict's winner, so they invalidate every
+// verdict and the engine. Additive ones (Add, AddBatch) can only add
+// candidates, so they are journaled in the add-log instead, and a verdict
+// computed at an older generation is carried forward by folding in the
+// entries added since (addLog.fold).
 type FlowTable struct {
 	mu      sync.RWMutex
 	entries []*FlowEntry // sorted by entryBefore (priority desc, cookie asc, seq asc)
 	seq     uint64       // next insertion sequence number
 	misses  atomic.Uint64
 
-	// gen counts table mutations. It is bumped inside the write lock
-	// before the entries change, so a reader that still observes the old
-	// generation is linearized before the mutation; the compiled engine
-	// and every megaflow verdict are stamped with the generation they
-	// were computed under and ignored once it is stale.
-	gen    atomic.Uint64
+	// log is the table's generation and add-log, published as one
+	// immutable snapshot as the last step of every mutation, inside the
+	// write lock. That store is the mutation's linearization point for the
+	// fast path: a lookup answers as of the snapshot it loaded, so a reader
+	// still holding the previous snapshot is linearized before the
+	// mutation.
+	log    atomic.Pointer[addLog]
 	eng    atomic.Pointer[engine]
 	builds atomic.Uint64
 	cache  *megaflowCache
 
-	// mode overrides the process default engine: 0 default, 1 compiled,
-	// -1 naive.
-	mode atomic.Int32
+	// naive routes lookups through the linear scan (SetCompiled(false)).
+	naive atomic.Bool
 
 	// smp is the optional 1-in-N packet sampler (see sampler.go); nil
 	// when sampling is off, which is the only cost the non-sampling hot
@@ -125,8 +116,55 @@ type FlowTable struct {
 	smp atomic.Pointer[tableSampler]
 }
 
+// addLogBound is the most entries the add-log holds. It bounds what a
+// revalidation or an engine-miss fold can cost (one Match check per
+// entry) and how far the engine may trail the table before it is rebuilt.
+const addLogBound = 64
+
+// logEntry is one additively installed entry and the generation that
+// installed it.
+type logEntry struct {
+	gen uint64
+	e   *FlowEntry
+}
+
+// addLog is one immutable snapshot of the table's mutation history as
+// the fast path needs it: the current generation, and every entry
+// installed after generation floor, oldest first. No destructive
+// mutation lies between floor and gen, so any verdict (or engine) valid
+// at a generation s >= floor becomes valid at gen by folding in the
+// entries with a newer stamp; anything older than floor is unusable.
+// Successive snapshots share one backing array — a snapshot only ever
+// reads its own prefix, and the single writer (under the table's write
+// lock) only appends past every published length.
+type addLog struct {
+	gen   uint64
+	floor uint64
+	adds  []logEntry
+}
+
+// fold carries a verdict from generation since to lg.gen: the winner is
+// the first under entryBefore among best and the entries added after
+// since whose Match covers p. This is exact, not a heuristic — between
+// floor and gen the table only grew, so the naive scan's candidate set at
+// gen is its candidate set at since plus those entries, and the first of
+// a union is the first of the firsts. Allocation-free.
+func (lg *addLog) fold(p *pkt.Packet, best *FlowEntry, since uint64) *FlowEntry {
+	for i := len(lg.adds) - 1; i >= 0 && lg.adds[i].gen > since; i-- {
+		e := lg.adds[i].e
+		if (best == nil || entryBefore(e, best)) && e.Match.Matches(*p) {
+			best = e
+		}
+	}
+	return best
+}
+
 // NewFlowTable returns an empty table.
-func NewFlowTable() *FlowTable { return &FlowTable{cache: newMegaflowCache()} }
+func NewFlowTable() *FlowTable {
+	t := &FlowTable{cache: newMegaflowCache()}
+	t.log.Store(&addLog{})
+	return t
+}
 
 // Len returns the number of installed entries.
 func (t *FlowTable) Len() int {
@@ -140,32 +178,59 @@ func (t *FlowTable) Misses() uint64 { return t.misses.Load() }
 
 // Generation returns the table's mutation counter. Every Add, AddBatch,
 // DeleteCookie, Replace, and Flush advances it — including no-op
-// mutations — which is what invalidates the compiled engine and every
-// cached megaflow verdict.
-func (t *FlowTable) Generation() uint64 { return t.gen.Load() }
+// mutations.
+func (t *FlowTable) Generation() uint64 { return t.log.Load().gen }
 
-// bumpLocked advances the generation. It must run under the write lock
-// and before the entries are touched: a reader that loads the old
-// generation is then guaranteed the mutation's effects were not yet
-// published, so serving it a pre-mutation verdict is linearizable.
-func (t *FlowTable) bumpLocked() { t.gen.Add(1) }
+// publishAddsLocked ends an additive mutation: it advances the generation
+// and appends es to the add-log. When the log would pass addLogBound the
+// floor slides forward over the oldest generations rather than resetting,
+// so only verdicts nobody looked up for a whole window go stale and the
+// hot ones are never wiped; a batch too large to log at all is published
+// like a destructive mutation. Must run under the write lock, after the
+// entries were inserted (and seq-stamped).
+func (t *FlowTable) publishAddsLocked(es ...*FlowEntry) {
+	if len(es) > addLogBound {
+		t.publishResetLocked()
+		return
+	}
+	lg := t.log.Load()
+	gen, floor, adds := lg.gen+1, lg.floor, lg.adds
+	for len(adds)+len(es) > addLogBound {
+		floor = adds[0].gen
+		for len(adds) > 0 && adds[0].gen == floor {
+			adds = adds[1:]
+		}
+	}
+	for _, e := range es {
+		adds = append(adds, logEntry{gen, e})
+	}
+	t.log.Store(&addLog{gen: gen, floor: floor, adds: adds})
+}
+
+// publishResetLocked ends a destructive mutation: it advances the
+// generation and moves the floor up to it, which strands every cached
+// verdict and the engine. Must run under the write lock.
+func (t *FlowTable) publishResetLocked() {
+	gen := t.log.Load().gen + 1
+	t.log.Store(&addLog{gen: gen, floor: gen})
+}
 
 // Add installs one entry.
 func (t *FlowTable) Add(e *FlowEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bumpLocked()
 	t.insertLocked(e)
+	t.publishAddsLocked(e)
 }
 
 // AddBatch installs entries atomically, preserving their relative order.
 func (t *FlowTable) AddBatch(es []*FlowEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bumpLocked()
 	for _, e := range es {
 		t.insertLocked(e)
 	}
+	t.publishAddsLocked(es...)
 }
 
 // entryBefore reports whether a takes precedence over b in table order:
@@ -201,16 +266,23 @@ func (t *FlowTable) insertLocked(e *FlowEntry) {
 func (t *FlowTable) DeleteCookie(cookie uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bumpLocked()
+	removed := t.removeCookieLocked(cookie)
+	t.publishResetLocked()
+	return removed
+}
+
+// removeCookieLocked compacts the entries in place, dropping those with
+// the given cookie, and clears the vacated tail so the backing array does
+// not keep the removed entries alive.
+func (t *FlowTable) removeCookieLocked(cookie uint64) int {
 	kept := t.entries[:0]
-	removed := 0
 	for _, e := range t.entries {
-		if e.Cookie == cookie {
-			removed++
-			continue
+		if e.Cookie != cookie {
+			kept = append(kept, e)
 		}
-		kept = append(kept, e)
 	}
+	removed := len(t.entries) - len(kept)
+	clear(t.entries[len(kept):])
 	t.entries = kept
 	return removed
 }
@@ -222,18 +294,12 @@ func (t *FlowTable) DeleteCookie(cookie uint64) int {
 func (t *FlowTable) Replace(cookie uint64, es []*FlowEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bumpLocked()
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if e.Cookie != cookie {
-			kept = append(kept, e)
-		}
-	}
-	t.entries = kept
+	t.removeCookieLocked(cookie)
 	for _, e := range es {
 		e.Cookie = cookie
 		t.insertLocked(e)
 	}
+	t.publishResetLocked()
 }
 
 // Flush removes every entry regardless of cookie and returns the number
@@ -242,48 +308,29 @@ func (t *FlowTable) Replace(cookie uint64, es []*FlowEntry) {
 func (t *FlowTable) Flush() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bumpLocked()
 	n := len(t.entries)
 	t.entries = nil
+	t.publishResetLocked()
 	return n
 }
 
-// SetCompiled overrides the table's lookup engine: true forces the
-// compiled dispatch structure + megaflow cache, false forces the naive
-// linear scan. The process default (build tag + SDX_DATAPLANE_ENGINE)
-// applies until the first call.
-func (t *FlowTable) SetCompiled(on bool) {
-	if on {
-		t.mode.Store(1)
-	} else {
-		t.mode.Store(-1)
-	}
-}
+// SetCompiled selects the table's lookup engine: true (the default) is
+// the compiled dispatch structure + megaflow cache, false the naive
+// linear scan.
+func (t *FlowTable) SetCompiled(on bool) { t.naive.Store(!on) }
 
 // Compiled reports whether lookups currently run through the compiled
 // engine.
-func (t *FlowTable) Compiled() bool {
-	switch t.mode.Load() {
-	case 1:
-		return true
-	case -1:
-		return false
-	}
-	return engineDefault
-}
+func (t *FlowTable) Compiled() bool { return !t.naive.Load() }
 
-// Stats returns megaflow cache counters; EngineBuilds counts compiled
-// dispatch-structure rebuilds (one per generation that saw a lookup).
-func (t *FlowTable) Stats() CacheStats {
-	return CacheStats{
-		Hits:    t.cache.hits.Load(),
-		Misses:  t.cache.misses.Load(),
-		Entries: t.cache.len(),
-	}
-}
+// Stats returns megaflow cache counters. A verdict revalidated against
+// the add-log counts as a hit.
+func (t *FlowTable) Stats() CacheStats { return t.cache.stats() }
 
 // EngineBuilds returns how many times the compiled dispatch structure
-// was (re)built.
+// was (re)built: by Precompile, or by a cache-missing lookup that found
+// the engine older than the add-log's floor — after a destructive
+// mutation, or once additive ones have slid the floor past it.
 func (t *FlowTable) EngineBuilds() uint64 { return t.builds.Load() }
 
 // SetCacheCapacity bounds the megaflow cache (verdicts per shard, 16
@@ -296,15 +343,15 @@ func (t *FlowTable) SetCacheCapacity(perShard int) {
 }
 
 // engineFor returns a compiled engine no older than gen, rebuilding from
-// a consistent snapshot when the cached one is stale. The snapshot is
-// taken under the read lock, where the generation is stable, so the
-// engine's stamp exactly matches the entries it compiled.
+// a consistent snapshot when the published one is. The snapshot is taken
+// under the read lock, where the log is stable, so the engine's stamp
+// exactly matches the entries it compiled.
 func (t *FlowTable) engineFor(gen uint64) *engine {
 	if en := t.eng.Load(); en != nil && en.gen >= gen {
 		return en
 	}
 	t.mu.RLock()
-	g := t.gen.Load()
+	g := t.log.Load().gen
 	es := append([]*FlowEntry(nil), t.entries...)
 	t.mu.RUnlock()
 	en := buildEngine(g, es)
@@ -326,30 +373,31 @@ func (t *FlowTable) engineFor(gen uint64) *engine {
 // recompilation.
 func (t *FlowTable) Precompile() {
 	if t.Compiled() {
-		t.engineFor(t.gen.Load())
+		t.engineFor(t.Generation())
 	}
 }
 
 // Lookup returns the matching entry for p (nil for table miss) without
-// updating counters. With the compiled engine active it consults the
-// megaflow cache first, then the dispatch structure, memoizing the
-// verdict either way; the result is always identical to LookupNaive at
-// the same generation.
+// updating counters. With the compiled engine active it answers as of
+// the log snapshot it loads first: from the megaflow cache when that
+// holds a verdict the log can vouch for, else from the dispatch
+// structure — any engine at or past the log's floor will do — folded up
+// to the snapshot's generation, memoizing the verdict either way. The
+// result is always identical to LookupNaive at that generation.
 func (t *FlowTable) Lookup(p pkt.Packet) *FlowEntry {
-	if !t.Compiled() {
+	if t.naive.Load() {
 		return t.LookupNaive(p)
 	}
-	gen := t.gen.Load()
+	lg := t.log.Load()
 	key := p.HeaderKey()
-	if e, ok := t.cache.get(gen, key); ok {
+	if e, ok := t.cache.get(lg, key, &p); ok {
 		return e
 	}
-	en := t.engineFor(gen)
-	e := en.lookup(p)
-	// Stamp with the engine's generation: if the table mutated between
-	// the gen load and the engine fetch, the verdict reflects the newer
-	// table and must not be served to older-generation readers.
-	t.cache.put(en.gen, key, e)
+	en := t.engineFor(lg.floor)
+	e := lg.fold(&p, en.lookup(p), en.gen)
+	// An engine built after a racing mutation is newer than lg, has
+	// nothing to fold, and its verdict holds at its own generation.
+	t.cache.put(max(lg.gen, en.gen), key, e)
 	return e
 }
 
