@@ -20,8 +20,10 @@ import (
 	"testing"
 
 	"sdx/internal/bgp"
+	"sdx/internal/core"
 	"sdx/internal/experiments"
 	"sdx/internal/iputil"
+	"sdx/internal/pkt"
 	"sdx/internal/workload"
 )
 
@@ -246,6 +248,42 @@ func BenchmarkRecompile(b *testing.B) {
 			b.Fatal("no rules")
 		}
 	}
+}
+
+// BenchmarkRecompileGrouped measures the full pass as the end-to-end
+// benchmark's policy-recompile phase drives it: the policy-dense 100×400
+// exchange, one participant alternating between two outbound policies
+// towards the two top announcers, a border-router sink attached. adverts/op
+// is what that sink receives per pass: the two policies key the same
+// groups, so no next hop moves and anything above 0 is redundant
+// advertisement.
+func BenchmarkRecompileGrouped(b *testing.B) {
+	ctrl, x, err := experiments.NewGroupedExchange(100, 400, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	top := x.TopAnnouncers()
+	wa, wb, viewer := top[0].AS, top[1].AS, top[len(top)-1].AS
+	policies := [2][]core.Term{
+		{core.Fwd(pkt.MatchAll.DstPort(80), wa), core.Fwd(pkt.MatchAll.DstPort(8080), wb)},
+		{core.Fwd(pkt.MatchAll.DstPort(443), wa), core.Fwd(pkt.MatchAll.DstPort(8443), wb)},
+	}
+	adverts := 0
+	if _, err := ctrl.OnRoute(viewer, func(core.RouteAd) { adverts++ }); err != nil {
+		b.Fatal(err)
+	}
+	recompile := func(i int) {
+		if rep := ctrl.Recompile(core.CompilePolicy(viewer, nil, policies[i%2])); rep.Err != nil || rep.Rules == 0 {
+			b.Fatalf("recompile: %d rules, err %v", rep.Rules, rep.Err)
+		}
+	}
+	recompile(1)
+	adverts = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recompile(i)
+	}
+	b.ReportMetric(float64(adverts)/float64(b.N), "adverts/op")
 }
 
 // BenchmarkFabricForwarding measures a single packet through the compiled

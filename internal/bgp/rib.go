@@ -1,9 +1,10 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -65,8 +66,8 @@ type ribShard struct {
 // safe for concurrent use, and internally sharded (RIBShards lock
 // domains keyed by ShardOf) so writers touching disjoint prefixes do not
 // serialize on one mutex. The API is unchanged from the unsharded RIB;
-// per-shard accessors (ShardPrefixes, ShardRemovePeer) expose the
-// partitioning to callers that want to parallelize by shard.
+// per-shard accessors (ShardPrefixes, ShardRemovePeer, WalkShard) expose
+// the partitioning to callers that want to work shard by shard.
 type RIB struct {
 	shards [RIBShards]ribShard
 }
@@ -160,7 +161,7 @@ func (t *RIB) Routes(prefix iputil.Prefix) []*Route {
 	for _, r := range m {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PeerAS < out[j].PeerAS })
+	slices.SortFunc(out, func(a, b *Route) int { return cmp.Compare(a.PeerAS, b.PeerAS) })
 	return out
 }
 
@@ -170,7 +171,7 @@ func (t *RIB) Prefixes() []iputil.Prefix {
 	for i := range t.shards {
 		out = append(out, t.ShardPrefixes(i)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, iputil.Prefix.Compare)
 	return out
 }
 
@@ -184,7 +185,7 @@ func (t *RIB) ShardPrefixes(shard int) []iputil.Prefix {
 	for p := range sh.routes {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, iputil.Prefix.Compare)
 	return out
 }
 
@@ -200,18 +201,28 @@ func (t *RIB) Len() int {
 	return n
 }
 
-// Walk visits every route grouped by prefix in sorted prefix order.
-func (t *RIB) Walk(fn func(prefix iputil.Prefix, routes []*Route) bool) {
-	for _, p := range t.Prefixes() {
-		if !fn(p, t.Routes(p)) {
-			return
+// WalkShard visits every prefix of one shard with all of its routes, in a
+// single pass under the shard's read lock. Prefix order and route order
+// are unspecified; the routes slice is reused between calls, so fn must
+// not retain it (the routes themselves are immutable and may be kept).
+// fn must not call back into the RIB.
+func (t *RIB) WalkShard(shard int, fn func(prefix iputil.Prefix, routes []*Route)) {
+	sh := &t.shards[shard]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	var buf []*Route
+	for p, m := range sh.routes {
+		buf = buf[:0]
+		for _, r := range m {
+			buf = append(buf, r)
 		}
+		fn(p, buf)
 	}
 }
 
-// FilterASPath returns the prefixes whose best... whose any route's AS path
-// matches the regular expression over the space-separated AS path string
-// (e.g. `.* 43515$` for "originated by AS 43515"). This implements the
+// FilterASPath returns, sorted, the prefixes with at least one route whose
+// AS path matches the regular expression over the space-separated AS path
+// string (e.g. `.* 43515$` for "originated by AS 43515"). This implements the
 // paper's §3.2 "grouping traffic based on BGP attributes":
 //
 //	YouTubePrefixes = RIB.filter('as_path', .*43515$)
@@ -234,7 +245,7 @@ func (t *RIB) FilterASPath(expr string) ([]iputil.Prefix, error) {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, iputil.Prefix.Compare)
 	return out, nil
 }
 

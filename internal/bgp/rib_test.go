@@ -82,19 +82,30 @@ func TestRIBPrefixesSorted(t *testing.T) {
 	}
 }
 
-func TestRIBWalk(t *testing.T) {
+func TestRIBWalkShard(t *testing.T) {
 	rib := NewRIB()
 	rib.Add(&Route{Prefix: pfx("10.0.0.0/8"), Attrs: &PathAttrs{}, PeerAS: 1})
+	rib.Add(&Route{Prefix: pfx("10.0.0.0/8"), Attrs: &PathAttrs{}, PeerAS: 2})
 	rib.Add(&Route{Prefix: pfx("20.0.0.0/8"), Attrs: &PathAttrs{}, PeerAS: 1})
-	n := 0
-	rib.Walk(func(p iputil.Prefix, routes []*Route) bool { n++; return true })
-	if n != 2 {
-		t.Fatalf("Walk visited %d", n)
+	seen := make(map[iputil.Prefix]int)
+	for si := 0; si < RIBShards; si++ {
+		rib.WalkShard(si, func(p iputil.Prefix, routes []*Route) {
+			if ShardOf(p) != si {
+				t.Errorf("%s visited in shard %d, lives in %d", p, si, ShardOf(p))
+			}
+			if _, dup := seen[p]; dup {
+				t.Errorf("%s visited twice", p)
+			}
+			seen[p] = len(routes)
+			for _, r := range routes {
+				if r.Prefix != p {
+					t.Errorf("route %v handed out under %s", r, p)
+				}
+			}
+		})
 	}
-	n = 0
-	rib.Walk(func(p iputil.Prefix, routes []*Route) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("Walk early stop visited %d", n)
+	if len(seen) != 2 || seen[pfx("10.0.0.0/8")] != 2 || seen[pfx("20.0.0.0/8")] != 1 {
+		t.Fatalf("WalkShard visited %v", seen)
 	}
 }
 

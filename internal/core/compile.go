@@ -9,19 +9,20 @@ import (
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
 	"sdx/internal/policy"
+	"sdx/internal/rs"
 )
 
 // RouteView is the route-server state the compiler reads. *rs.Server
-// implements it.
+// implements it. A full compile reads it through RouteSets alone, once;
+// Exports and GlobalBest are the fast path's per-prefix probes.
 type RouteView interface {
-	// ReachablePrefixes returns the prefixes `via` exports to `viewer`.
-	ReachablePrefixes(viewer, via uint32) []iputil.Prefix
+	// RouteSets materializes a batch of prefix sets, and the overall best
+	// route of every prefix in them, from one pass over the Adj-RIB-In.
+	RouteSets(queries []rs.SetQuery) *rs.RouteSets
 	// Exports reports whether `via` exports prefix to `viewer`.
 	Exports(viewer, via uint32, prefix iputil.Prefix) bool
 	// GlobalBest returns the route server's overall best route for prefix.
 	GlobalBest(prefix iputil.Prefix) *bgp.Route
-	// AnnouncedPrefixes returns the prefixes a participant announces.
-	AnnouncedPrefixes(as uint32) []iputil.Prefix
 }
 
 // Compiled is the output of one full compilation pass.
@@ -153,6 +154,14 @@ type compiler struct {
 	view  RouteView
 	vnhs  *vnhTable
 	opts  CompileOptions
+
+	// snap is this compiler's one reading of the Adj-RIB-In (materialize):
+	// it lives as long as the compiler does — one full pass, or one
+	// fast-path batch, both under the controller's lock, so the RIB cannot
+	// move beneath it — and nothing of it is kept afterwards. deliverable
+	// is its tail: per participant, the prefixes resolveOwner searches.
+	snap        *rs.RouteSets
+	deliverable [][]iputil.Prefix
 }
 
 // setOwners enumerates the MDS input sets in deterministic order: one per
@@ -182,23 +191,54 @@ func (c *compiler) setOwners() []setOwner {
 	return owners
 }
 
-// setPrefixes materializes one input set.
-func (c *compiler) setPrefixes(o setOwner) []iputil.Prefix {
-	if o.isSynthetic() {
-		return c.view.AnnouncedPrefixes(o.target)
+// materialize asks the route view, in one call, for everything this
+// compiler reads in bulk: one set per owner (returned, already narrowed by
+// each term's dstip match) and, when some inbound term delivers by
+// rewritten destination, every participant's prefixes for resolveOwner.
+func (c *compiler) materialize(owners []setOwner) [][]iputil.Prefix {
+	queries := make([]rs.SetQuery, len(owners))
+	for i, o := range owners {
+		if o.isSynthetic() {
+			queries[i] = rs.SetQuery{Via: o.target, Announced: true}
+		} else {
+			queries[i] = rs.SetQuery{Viewer: o.as, Via: o.target}
+		}
 	}
-	t := c.parts[o.as].outbound[o.term]
-	reach := c.view.ReachablePrefixes(o.as, o.target)
-	if dp, ok := t.Match.GetDstIP(); ok {
-		filtered := reach[:0]
-		for _, q := range reach {
-			if q.Overlaps(dp) {
-				filtered = append(filtered, q)
+	if c.delivers() {
+		for _, as := range sortedASNs(c.parts) {
+			queries = append(queries, rs.SetQuery{Via: as})
+		}
+	}
+	c.snap = c.view.RouteSets(queries)
+	sets := c.snap.Sets[:len(owners):len(owners)]
+	c.deliverable = c.snap.Sets[len(owners):]
+	for i, o := range owners {
+		if o.isSynthetic() {
+			continue
+		}
+		if dp, ok := c.parts[o.as].outbound[o.term].Match.GetDstIP(); ok {
+			filtered := sets[i][:0]
+			for _, q := range sets[i] {
+				if q.Overlaps(dp) {
+					filtered = append(filtered, q)
+				}
+			}
+			sets[i] = filtered
+		}
+	}
+	return sets
+}
+
+// delivers reports whether any inbound term needs resolveOwner.
+func (c *compiler) delivers() bool {
+	for _, p := range c.parts {
+		for _, t := range p.inbound {
+			if t.Action.Deliver {
+				return true
 			}
 		}
-		reach = filtered
 	}
-	return reach
+	return false
 }
 
 // setContains probes one prefix's membership in one input set without
@@ -217,25 +257,24 @@ func (c *compiler) setContains(o setOwner, prefix iputil.Prefix) bool {
 	return true
 }
 
-// defaultAS returns the route server's global default next-hop AS for a
-// prefix (0 = no route).
-func (c *compiler) defaultAS(p iputil.Prefix) uint32 {
-	if r := c.view.GlobalBest(p); r != nil {
-		return r.PeerAS
+// peerAS is the next-hop AS of a best route (0 = no route).
+func peerAS(r *bgp.Route) uint32 {
+	if r == nil {
+		return 0
 	}
-	return 0
+	return r.PeerAS
 }
 
-// Compile runs the full pipeline: policy sets, FEC grouping, VNH
-// assignment, the four policy transformations, and classifier generation.
-func (c *compiler) Compile() *Compiled {
-	owners := c.setOwners()
-	sets := make([][]iputil.Prefix, len(owners))
-	for i, o := range owners {
-		sets[i] = c.setPrefixes(o)
-	}
-	groups := MinDisjointSubsets(sets, c.defaultAS)
-	out := &Compiled{Groups: groups, GroupIdx: make(map[iputil.Prefix]int)}
+// group runs the route-dependent front half of the pipeline, the same for
+// the serial and the parallel compiler: policy sets and default next hops
+// from one Adj-RIB-In reading, FEC grouping, and VNH assignment strictly
+// in group order (so both hand out identical indices). setGroups[si]
+// lists the groups making up input set si.
+func (c *compiler) group() (out *Compiled, owners []setOwner, sets [][]iputil.Prefix, setGroups [][]int) {
+	owners = c.setOwners()
+	sets = c.materialize(owners)
+	groups := MinDisjointSubsets(sets, func(p iputil.Prefix) uint32 { return peerAS(c.snap.GlobalBest(p)) })
+	out = &Compiled{Groups: groups, GroupIdx: make(map[iputil.Prefix]int)}
 	if !c.opts.NaiveDstIP {
 		out.VMACs = make([]pkt.MAC, len(groups))
 		out.VNHs = make([]iputil.Addr, len(groups))
@@ -248,14 +287,19 @@ func (c *compiler) Compile() *Compiled {
 			}
 		}
 	}
-	// setGroups[si] lists the groups making up input set si.
-	setGroups := make([][]int, len(sets))
+	setGroups = make([][]int, len(sets))
 	for gi := range groups {
 		for _, si := range groups[gi].Sets {
 			setGroups[si] = append(setGroups[si], gi)
 		}
 	}
+	return out, owners, sets, setGroups
+}
 
+// Compile runs the full pipeline: policy sets, FEC grouping, VNH
+// assignment, the four policy transformations, and classifier generation.
+func (c *compiler) Compile() *Compiled {
+	out, owners, sets, setGroups := c.group()
 	comp := policy.NewCompiler()
 	comp.DisableCache = c.opts.DisableCache
 	comp.DisableConcat = c.opts.DisableConcat
@@ -263,7 +307,7 @@ func (c *compiler) Compile() *Compiled {
 	if stage1, ok := c.stage1Policy(ownerIndex(owners), setGroups, out.VMACs, sets); ok {
 		out.Band1 = finalizeBand(comp.Compile(policy.Seq(stage1, stage2)))
 	}
-	if defaults, ok := c.defaultPolicy(groups, out.VMACs); ok {
+	if defaults, ok := c.defaultPolicy(out.Groups, out.VMACs); ok {
 		out.Band2 = finalizeBand(comp.Compile(policy.Seq(defaults, stage2)))
 	}
 	out.Stats = comp.Stats
@@ -437,14 +481,19 @@ func (c *compiler) deliverTerm(m pkt.Match, mods pkt.Mods) policy.Policy {
 }
 
 // resolveOwner finds the participant that the route server would deliver
-// traffic for addr to (longest announced prefix containing addr).
+// traffic for addr to (longest announced prefix containing addr). On the
+// fast path no full compile has read the RIB for it, so it does, once per
+// batch.
 func (c *compiler) resolveOwner(addr iputil.Addr) *Participant {
+	if c.snap == nil {
+		c.materialize(nil)
+	}
 	var best *bgp.Route
-	var bestBits int = -1
-	for _, as := range sortedASNs(c.parts) {
-		for _, q := range c.view.ReachablePrefixes(0, as) {
+	bestBits := -1
+	for _, set := range c.deliverable {
+		for _, q := range set {
 			if q.Contains(addr) && int(q.Bits()) > bestBits {
-				if r := c.view.GlobalBest(q); r != nil {
+				if r := c.snap.GlobalBest(q); r != nil {
 					best, bestBits = r, int(q.Bits())
 				}
 			}
@@ -522,7 +571,7 @@ func finalizeBand(c policy.Classifier) policy.Classifier {
 // path (§4.3.2): membership is probed per policy set without recomputing
 // the full MDS.
 func (c *compiler) fastGroup(prefix iputil.Prefix) (PrefixGroup, []setOwner) {
-	g := PrefixGroup{Prefixes: []iputil.Prefix{prefix}, DefaultAS: c.defaultAS(prefix)}
+	g := PrefixGroup{Prefixes: []iputil.Prefix{prefix}, DefaultAS: peerAS(c.view.GlobalBest(prefix))}
 	owners := c.setOwners()
 	for si, o := range owners {
 		if c.setContains(o, prefix) {

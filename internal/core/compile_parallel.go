@@ -2,107 +2,25 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"sdx/internal/iputil"
-	"sdx/internal/pkt"
 	"sdx/internal/policy"
 )
 
-// runIndexed applies f to every index in [0, n) across up to `workers`
-// goroutines. Work-stealing by atomic counter keeps the partitioning
-// independent of timing; callers index into pre-sized slices, so results
-// land in deterministic positions regardless of which worker ran them.
-func runIndexed(workers, n int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// CompileParallel runs the same §4 pipeline as Compile with the
-// independent stages fanned out across pc's worker pool:
-//
-//   - policy-set materialization (one route-server query per outbound
-//     term / synthetic set) runs per owner, merged in owner-index order;
-//   - default-next-hop resolution runs per unique prefix into a lookup
-//     table that MinDisjointSubsets reads instead of querying serially;
-//   - Band1 and Band2 compile concurrently on the shared memo cache, and
-//     inside each band the per-participant policies fan out again.
-//
-// VNH/VMAC assignment stays strictly serial in group order, so the table
-// hands out exactly the indices the serial compiler would: the output is
-// byte-identical to Compile's, only wall-clock time differs.
+// CompileParallel runs the same §4 pipeline as Compile with the policy
+// compilation fanned out across pc's worker pool: Band1 and Band2 compile
+// concurrently on the shared memo cache, and inside each band the
+// per-participant policies fan out again. The front half (group) is the
+// serial compiler's own — one Adj-RIB-In reading, VNH/VMAC assignment
+// strictly in group order — so the output is byte-identical to Compile's,
+// only wall-clock time differs.
 func (c *compiler) CompileParallel(pc *policy.ParallelCompiler) *Compiled {
-	workers := pc.Workers()
-	owners := c.setOwners()
-	sets := make([][]iputil.Prefix, len(owners))
-	runIndexed(workers, len(owners), func(i int) { sets[i] = c.setPrefixes(owners[i]) })
-
-	var uniq []iputil.Prefix
-	seen := make(map[iputil.Prefix]bool)
-	for _, set := range sets {
-		for _, q := range set {
-			if !seen[q] {
-				seen[q] = true
-				uniq = append(uniq, q)
-			}
-		}
-	}
-	nhs := make([]uint32, len(uniq))
-	runIndexed(workers, len(uniq), func(i int) { nhs[i] = c.defaultAS(uniq[i]) })
-	nhOf := make(map[iputil.Prefix]uint32, len(uniq))
-	for i, q := range uniq {
-		nhOf[q] = nhs[i]
-	}
-
-	groups := MinDisjointSubsets(sets, func(q iputil.Prefix) uint32 { return nhOf[q] })
-	out := &Compiled{Groups: groups, GroupIdx: make(map[iputil.Prefix]int)}
-	if !c.opts.NaiveDstIP {
-		out.VMACs = make([]pkt.MAC, len(groups))
-		out.VNHs = make([]iputil.Addr, len(groups))
-		for gi := range groups {
-			idx := c.vnhs.indexFor(groupKey(owners, &groups[gi]))
-			out.VMACs[gi] = VMAC(idx)
-			out.VNHs[gi] = VNHAddr(idx)
-			for _, p := range groups[gi].Prefixes {
-				out.GroupIdx[p] = gi
-			}
-		}
-	}
-	setGroups := make([][]int, len(sets))
-	for gi := range groups {
-		for _, si := range groups[gi].Sets {
-			setGroups[si] = append(setGroups[si], gi)
-		}
-	}
+	out, owners, sets, setGroups := c.group()
 
 	pc.DisableCache = c.opts.DisableCache
 	pc.DisableConcat = c.opts.DisableConcat
 	stage2 := c.stage2Policy()
 	stage1, ok1 := c.stage1Policy(ownerIndex(owners), setGroups, out.VMACs, sets)
-	defaults, ok2 := c.defaultPolicy(groups, out.VMACs)
+	defaults, ok2 := c.defaultPolicy(out.Groups, out.VMACs)
 
 	var wg sync.WaitGroup
 	if ok1 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -78,17 +79,16 @@ type Controller struct {
 	parts map[uint32]*Participant
 	vnhs  *vnhTable
 
-	// pcomp is the persistent parallel policy compiler; its generation-
-	// stamped cache is invalidated (Reset) at the start of every full
-	// recompilation. compileWorkers bounds its pool (0 = GOMAXPROCS).
+	// pcomp is the persistent parallel policy compiler; its memo cache
+	// is emptied (Reset) at the start of every full recompilation.
+	// compileWorkers bounds its pool (0 = GOMAXPROCS).
 	pcomp          *policy.ParallelCompiler
 	compileWorkers int
 
 	cur        *Compiled
 	fastPrefix map[iputil.Prefix]uint32 // fast-band VNH index per prefix
 	fastRules  int
-	advNH      map[iputil.Prefix]iputil.Addr // next hop currently advertised
-	macToPort  map[pkt.MAC]pkt.PortID        // NORMAL fallback table
+	macToPort  map[pkt.MAC]pkt.PortID // NORMAL fallback table
 	sinks      map[uint32]map[int]func(RouteAd)
 	nextSinkID int
 	mirrors    []RuleSink
@@ -224,7 +224,6 @@ func NewController(opts ...Option) *Controller {
 		parts:       make(map[uint32]*Participant),
 		vnhs:        newVNHTable(),
 		fastPrefix:  make(map[iputil.Prefix]uint32),
-		advNH:       make(map[iputil.Prefix]iputil.Addr),
 		macToPort:   make(map[pkt.MAC]pkt.PortID),
 		sinks:       make(map[uint32]map[int]func(RouteAd)),
 		peerDown:    make(map[uint32]*time.Timer),
@@ -670,10 +669,11 @@ func (c *Controller) StartOptimizer(interval time.Duration) (stop func()) {
 
 // Recompile runs the full optimization pass: FEC grouping, policy
 // compilation, atomic band swap, fast-band garbage collection, and
-// re-advertisement of prefixes whose virtual next hop moved. Options
-// select ablation knobs (CompileSerial, CompileNaiveDstIP, ...) or fold
-// in a policy change first (CompilePolicy); with no options it runs the
-// paper's full design.
+// re-advertisement of exactly the prefixes whose advertised next hop moved
+// (movedNextHops) — a pass that changes no next hop advertises nothing.
+// Options select ablation knobs (CompileSerial, CompileNaiveDstIP, ...) or
+// fold in a policy change first (CompilePolicy); with no options it runs
+// the paper's full design.
 func (c *Controller) Recompile(options ...CompileOption) CompileReport {
 	var cfg compileConfig
 	for _, o := range options {
@@ -706,8 +706,8 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 	if opts.Serial {
 		compiled = comp.Compile()
 	} else {
-		// New generation: concurrent workers never observe entries
-		// memoized by a previous recompilation.
+		// Empty cache: workers never observe entries memoized by a
+		// previous recompilation, and that pass's policy trees are freed.
 		c.pcomp.Reset()
 		compiled = comp.CompileParallel(c.pcomp)
 		workers = c.pcomp.Workers()
@@ -724,6 +724,7 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 		m.DeleteCookie(cookieFast)
 	}
 	c.fastRules = 0
+	prevFast := c.fastPrefix
 	c.fastPrefix = make(map[iputil.Prefix]uint32)
 
 	// Eagerly rebuild the dataplane's compiled dispatch engine for the new
@@ -738,21 +739,7 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 	c.cur = compiled
 	c.dirty = false
 
-	// Advertise prefixes whose effective next hop changed: newly grouped,
-	// regrouped, or no longer grouped.
-	changed := make(map[iputil.Prefix]bool)
-	for p := range compiled.GroupIdx {
-		changed[p] = true
-	}
-	for p := range prev.GroupIdx {
-		changed[p] = true
-	}
-	readv := make([]iputil.Prefix, 0, len(changed))
-	for p := range changed {
-		readv = append(readv, p)
-	}
-	sort.Slice(readv, func(i, j int) bool { return readv[i].Compare(readv[j]) < 0 })
-	for _, p := range readv {
+	for _, p := range movedNextHops(prev, compiled, prevFast) {
 		c.advertisePrefixLocked(p)
 	}
 
@@ -777,6 +764,34 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 	c.tracer.Emit(telemetry.EventRuleInstalled, 0, "band2", int64(rep.Band2))
 	c.tracer.Emit(telemetry.EventCompileDone, 0, mode, int64(rep.Rules))
 	return rep
+}
+
+// movedNextHops returns, sorted, the prefixes a full pass must advertise
+// again: those whose advertised next hop is not what it was before the
+// pass — they held a fast-path VNH (now collected), their group's VNH
+// changed, or they entered or left grouping. Best-route changes are not
+// its business; the fast path advertised those when they happened.
+func movedNextHops(prev, cur *Compiled, prevFast map[iputil.Prefix]uint32) []iputil.Prefix {
+	var moved []iputil.Prefix
+	for p := range prevFast {
+		moved = append(moved, p)
+	}
+	for p, gi := range cur.GroupIdx {
+		if _, fast := prevFast[p]; fast {
+			continue
+		}
+		if pgi, ok := prev.GroupIdx[p]; !ok || prev.VNHs[pgi] != cur.VNHs[gi] {
+			moved = append(moved, p)
+		}
+	}
+	for p := range prev.GroupIdx {
+		_, fast := prevFast[p]
+		if _, ok := cur.GroupIdx[p]; !ok && !fast {
+			moved = append(moved, p)
+		}
+	}
+	slices.SortFunc(moved, iputil.Prefix.Compare)
+	return moved
 }
 
 // Dirty reports whether policies or routes changed since the last full
@@ -834,7 +849,9 @@ func (c *Controller) vnhForPrefix(prefix iputil.Prefix, real iputil.Addr) iputil
 }
 
 // advertisePrefixLocked sends the current route for prefix (with the next
-// hop rewritten) to every participant's border router.
+// hop rewritten) to every participant's border router. Callers decide
+// what is worth sending: the fast path calls it for prefixes whose best
+// route changed, the full pass for those in movedNextHops.
 func (c *Controller) advertisePrefixLocked(prefix iputil.Prefix) {
 	for as, sinks := range c.sinks {
 		best, ok := c.rs.BestRoute(as, prefix)
@@ -845,7 +862,6 @@ func (c *Controller) advertisePrefixLocked(prefix iputil.Prefix) {
 			continue
 		}
 		nh := c.vnhForPrefix(prefix, best.Attrs.NextHop)
-		c.advNH[prefix] = nh
 		attrs := best.Attrs.Clone()
 		attrs.NextHop = nh
 		for _, sink := range sinks {

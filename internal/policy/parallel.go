@@ -15,12 +15,8 @@ import (
 // shards so concurrent compile workers never contend on a single lock.
 const cacheShards = 64
 
-// cacheEntry is one memoized (or in-flight) sub-policy compilation. The
-// generation stamp invalidates the entry lazily across recompilations:
-// an entry whose generation is older than the cache's is simply stale,
-// never observed, and overwritten on the next claim.
+// cacheEntry is one memoized (or in-flight) sub-policy compilation.
 type cacheEntry struct {
-	gen  uint64
 	done chan struct{} // closed when cl is ready
 	cl   Classifier
 }
@@ -35,9 +31,8 @@ type cacheShard struct {
 // protocol deduplicates in-flight work: the first goroutine to ask for a
 // node compiles it while later askers block on the entry's done channel,
 // so a policy node shared across compositions is still compiled exactly
-// once per generation (§4.3.1), even under concurrency.
+// once between resets (§4.3.1), even under concurrency.
 type shardedCache struct {
-	gen    atomic.Uint64
 	shards [cacheShards]cacheShard
 }
 
@@ -46,7 +41,6 @@ func newShardedCache() *shardedCache {
 	for i := range c.shards {
 		c.shards[i].m = make(map[Policy]*cacheEntry)
 	}
-	c.gen.Store(1)
 	return c
 }
 
@@ -58,20 +52,19 @@ func (c *shardedCache) shardFor(p Policy) *cacheShard {
 	return &c.shards[(ptr>>4)%cacheShards]
 }
 
-// lookup returns (cl, nil, true) for a completed current-generation
-// entry, blocking first if the entry is still being compiled elsewhere.
+// lookup returns (cl, nil, true) for a completed entry, blocking first if
+// the entry is still being compiled elsewhere.
 // Otherwise it installs a fresh in-flight entry and returns (nil, claim,
 // false); the caller must compile the node and call claim's complete.
 func (c *shardedCache) lookup(p Policy) (Classifier, *cacheEntry, bool) {
-	gen := c.gen.Load()
 	s := c.shardFor(p)
 	s.mu.Lock()
-	if e := s.m[p]; e != nil && e.gen == gen {
+	if e := s.m[p]; e != nil {
 		s.mu.Unlock()
 		<-e.done
 		return e.cl, nil, true
 	}
-	e := &cacheEntry{gen: gen, done: make(chan struct{})}
+	e := &cacheEntry{done: make(chan struct{})}
 	s.m[p] = e
 	s.mu.Unlock()
 	return nil, e, false
@@ -90,22 +83,26 @@ func (c *shardedCache) invalidate(p Policy) {
 	s.mu.Unlock()
 }
 
-// bump starts a new generation: every existing entry becomes stale
-// without touching any shard lock.
-func (c *shardedCache) bump() { c.gen.Add(1) }
+// reset drops every entry. Entries are keyed by policy-node identity and
+// each recompilation builds fresh nodes, so an old pass's entries can
+// never hit again; left in place they pin that pass's policy trees and
+// classifiers for the life of the cache.
+func (c *shardedCache) reset() {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		clear(s.m)
+		s.mu.Unlock()
+	}
+}
 
-// len counts the current generation's completed and in-flight entries.
+// len counts the completed and in-flight entries.
 func (c *shardedCache) len() int {
-	gen := c.gen.Load()
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for _, e := range s.m {
-			if e.gen == gen {
-				n++
-			}
-		}
+		n += len(s.m)
 		s.mu.Unlock()
 	}
 	return n
@@ -165,11 +162,11 @@ func (c *ParallelCompiler) Stats() CompileStats {
 	}
 }
 
-// Reset invalidates all memoized sub-policies by bumping the cache
-// generation — O(1), no lock sweep — and zeroes the statistics. Call it
-// between recompilations so no stale entry is ever observed.
+// Reset drops all memoized sub-policies and zeroes the statistics. Call
+// it between recompilations so no stale entry is ever observed and none
+// outlives the policy tree it was compiled from.
 func (c *ParallelCompiler) Reset() {
-	c.cache.bump()
+	c.cache.reset()
 	c.seqOps.Store(0)
 	c.parOps.Store(0)
 	c.cacheHits.Store(0)
@@ -180,8 +177,7 @@ func (c *ParallelCompiler) Reset() {
 // Invalidate drops the memoization entry for a policy node.
 func (c *ParallelCompiler) Invalidate(p Policy) { c.cache.invalidate(p) }
 
-// CacheLen returns the number of memoized sub-policies in the current
-// generation.
+// CacheLen returns the number of memoized sub-policies.
 func (c *ParallelCompiler) CacheLen() int { return c.cache.len() }
 
 // Compile translates a policy into an equivalent total classifier.

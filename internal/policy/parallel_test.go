@@ -137,8 +137,9 @@ func TestParallelSharedNodeCompiledOnce(t *testing.T) {
 	}
 }
 
-// TestParallelReset: Reset must invalidate every memoized entry (a new
-// generation), so a compile after Reset sees no stale classifiers.
+// TestParallelReset: Reset must drop every memoized entry, so a compile
+// after Reset sees no stale classifiers and the cache does not grow by one
+// pass's policy nodes per recompilation.
 func TestParallelReset(t *testing.T) {
 	p := Union(
 		Seq(Match(pkt.MatchAll.InPort(1)), FwdTo(2)),

@@ -16,6 +16,7 @@ package rs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -445,11 +446,12 @@ func (s *Server) applyShard(si int, muts []ribMutation, ases []uint32) []Event {
 func (s *Server) decideShardLocked(sh *locShard, affected []iputil.Prefix, ases []uint32) []Event {
 	var events []Event
 	for _, prefix := range affected {
+		routes := s.adjIn.Routes(prefix)
 		for _, as := range ases {
 			p := s.participants[as]
 			bm := sh.best[as]
 			old := bm[prefix]
-			best := s.bestFor(as, prefix)
+			best := s.bestAmong(as, prefix, routes)
 			if old == best {
 				continue
 			}
@@ -499,8 +501,15 @@ func mergeEvents(results *[bgp.RIBShards][]Event) []Event {
 // the best among routes advertised by other participants whose export
 // policy allows as to see them. Caller holds pmu.
 func (s *Server) bestFor(as uint32, prefix iputil.Prefix) *bgp.Route {
+	return s.bestAmong(as, prefix, s.adjIn.Routes(prefix))
+}
+
+// bestAmong is bestFor over an already fetched Adj-RIB-In route list for
+// prefix, so the decision process reads the list once per prefix rather
+// than once per viewer. Caller holds pmu.
+func (s *Server) bestAmong(as uint32, prefix iputil.Prefix, routes []*bgp.Route) *bgp.Route {
 	var candidates []*bgp.Route
-	for _, r := range s.adjIn.Routes(prefix) {
+	for _, r := range routes {
 		if r.PeerAS == as {
 			continue // never reflect a route back to its advertiser
 		}
@@ -545,31 +554,86 @@ func (s *Server) BestRoutes(as uint32) map[iputil.Prefix]*bgp.Route {
 	return out
 }
 
-// ReachablePrefixes returns the prefixes that participant `via` has
-// exported to participant `viewer` — the set the SDX compiler uses to
-// restrict viewer's outbound policies toward via ("forwarding only along
-// BGP-advertised paths", §3.2). The result is sorted.
-func (s *Server) ReachablePrefixes(viewer, via uint32) []iputil.Prefix {
+// SetQuery asks for one of the compiler's prefix sets (§4.2 pass 1): the
+// prefixes Via announces and exports to Viewer ("forwarding only along
+// BGP-advertised paths", §3.2) or, with Announced set, every prefix Via
+// announces whoever may see it (Viewer is ignored).
+type SetQuery struct {
+	Viewer, Via uint32
+	Announced   bool
+}
+
+// RouteSets answers one batch of set queries from one reading of the
+// Adj-RIB-In. It is a value for one compilation: the server keeps no
+// per-peer index at rest, so the update path has nothing to keep coherent.
+type RouteSets struct {
+	// Sets[i] answers queries[i]: sorted, duplicate-free, owned by the
+	// caller.
+	Sets [][]iputil.Prefix
+	best map[iputil.Prefix]*bgp.Route
+}
+
+// GlobalBest is Server.GlobalBest as of the reading, defined for every
+// prefix announced by a queried peer (so for every prefix in Sets).
+func (r *RouteSets) GlobalBest(prefix iputil.Prefix) *bgp.Route { return r.best[prefix] }
+
+// RouteSets answers all queries in one pass over the Adj-RIB-In: each
+// shard is scanned once, routes of queried peers are gathered per peer
+// and each peer's list is sorted once; a query then filters only its own
+// peer's list through export policy and communities. The cost is
+// O(routes + answers), however many queries share a peer.
+func (s *Server) RouteSets(queries []SetQuery) *RouteSets {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
-	adv := s.participants[via]
-	var out []iputil.Prefix
-	s.adjIn.Walk(func(prefix iputil.Prefix, routes []*bgp.Route) bool {
-		for _, r := range routes {
-			if r.PeerAS != via {
-				continue
-			}
-			if adv != nil && !adv.cfg.Export.Allows(viewer, prefix) {
-				continue
-			}
-			if !communityAllows(s.communityAS, r, viewer) {
-				continue
-			}
-			out = append(out, prefix)
+	peerIdx := make(map[uint32]int, len(queries))
+	for _, q := range queries {
+		if _, ok := peerIdx[q.Via]; !ok {
+			peerIdx[q.Via] = len(peerIdx)
 		}
-		return true
-	})
+	}
+	byPeer := make([][]*bgp.Route, len(peerIdx))
+	out := &RouteSets{Sets: make([][]iputil.Prefix, len(queries)), best: make(map[iputil.Prefix]*bgp.Route)}
+	for si := 0; si < bgp.RIBShards; si++ {
+		s.adjIn.WalkShard(si, func(prefix iputil.Prefix, routes []*bgp.Route) {
+			queried := false
+			for _, r := range routes {
+				if i, ok := peerIdx[r.PeerAS]; ok {
+					byPeer[i] = append(byPeer[i], r)
+					queried = true
+				}
+			}
+			if queried {
+				out.best[prefix] = bgp.Best(routes)
+			}
+		})
+	}
+	for _, routes := range byPeer {
+		slices.SortFunc(routes, func(a, b *bgp.Route) int { return a.Prefix.Compare(b.Prefix) })
+	}
+	for qi, q := range queries {
+		routes := byPeer[peerIdx[q.Via]]
+		adv := s.participants[q.Via]
+		set := make([]iputil.Prefix, 0, len(routes))
+		for _, r := range routes {
+			if !q.Announced {
+				if adv != nil && !adv.cfg.Export.Allows(q.Viewer, r.Prefix) {
+					continue
+				}
+				if !communityAllows(s.communityAS, r, q.Viewer) {
+					continue
+				}
+			}
+			set = append(set, r.Prefix)
+		}
+		out.Sets[qi] = set
+	}
 	return out
+}
+
+// ReachablePrefixes returns the prefixes that participant `via` has
+// exported to participant `viewer`, sorted: RouteSets with one query.
+func (s *Server) ReachablePrefixes(viewer, via uint32) []iputil.Prefix {
+	return s.RouteSets([]SetQuery{{Viewer: viewer, Via: via}}).Sets[0]
 }
 
 // Exports reports whether participant `via` currently announces prefix and
@@ -596,19 +660,9 @@ func (s *Server) GlobalBest(prefix iputil.Prefix) *bgp.Route {
 }
 
 // AnnouncedPrefixes returns the prefixes participant as currently
-// announces, sorted.
+// announces, sorted: RouteSets with one query.
 func (s *Server) AnnouncedPrefixes(as uint32) []iputil.Prefix {
-	var out []iputil.Prefix
-	s.adjIn.Walk(func(prefix iputil.Prefix, routes []*bgp.Route) bool {
-		for _, r := range routes {
-			if r.PeerAS == as {
-				out = append(out, prefix)
-				break
-			}
-		}
-		return true
-	})
-	return out
+	return s.RouteSets([]SetQuery{{Via: as, Announced: true}}).Sets[0]
 }
 
 // Prefixes returns every prefix known to the route server, sorted.
