@@ -17,6 +17,7 @@ package sdx
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sdx/internal/bgp"
@@ -284,6 +285,32 @@ func BenchmarkRecompileGrouped(b *testing.B) {
 		recompile(i)
 	}
 	b.ReportMetric(float64(adverts)/float64(b.N), "adverts/op")
+}
+
+// BenchmarkTableLoad measures the table transfer of the RIB-heavy exchange
+// (100 participants, 20k prefixes, no policies) that the end-to-end
+// benchmark's table-steady workload sets up. live-MB is the heap in use
+// after the load, with the controller alive.
+func BenchmarkTableLoad(b *testing.B) {
+	b.ReportAllocs()
+	var live float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		x := workload.NewIXP(workload.DefaultTopology(100, 20000, 1))
+		b.StartTimer()
+		ctrl, err := workload.Load(x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		live = float64(ms.HeapAlloc) / (1 << 20)
+		runtime.KeepAlive(ctrl)
+		b.StartTimer()
+	}
+	b.ReportMetric(live, "live-MB")
 }
 
 // BenchmarkFabricForwarding measures a single packet through the compiled

@@ -62,16 +62,24 @@ func effectiveMED(a *PathAttrs) uint32 {
 // group chosen (where MED is comparable), then the group winners compete
 // without MED. Pairwise Better alone is not transitive across neighbor
 // groups — the classic MED ordering anomaly — so this two-phase scan is
-// what makes the outcome independent of candidate order.
+// what makes the outcome independent of candidate order. The groups live
+// in a small stack buffer: candidate lists are short, so a linear search
+// for the group beats a map and allocates nothing.
 func Best(candidates []*Route) *Route {
-	winners := make(map[uint32]*Route)
+	var buf [8]*Route
+	winners := buf[:0]
 	for _, r := range candidates {
 		if r == nil {
 			continue
 		}
-		key := r.Attrs.FirstAS()
-		if Better(r, winners[key]) {
-			winners[key] = r
+		i := 0
+		for i < len(winners) && winners[i].Attrs.FirstAS() != r.Attrs.FirstAS() {
+			i++
+		}
+		if i == len(winners) {
+			winners = append(winners, r)
+		} else if Better(r, winners[i]) {
+			winners[i] = r
 		}
 	}
 	var best *Route

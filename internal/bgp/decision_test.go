@@ -131,6 +131,26 @@ func TestBetterAntisymmetric(t *testing.T) {
 	}
 }
 
+// TestBestAllocFree: the decision runs once per prefix per batch, so the
+// neighbour-group scan must not allocate for the candidate counts a route
+// server sees (one announcer, or a handful in several MED groups).
+func TestBestAllocFree(t *testing.T) {
+	four := []*Route{
+		route(1, PathAttrs{ASPath: []uint32{7}, MED: 20, HasMED: true}),
+		route(2, PathAttrs{ASPath: []uint32{7}, MED: 10, HasMED: true}),
+		route(3, PathAttrs{ASPath: []uint32{8}, MED: 5, HasMED: true}),
+		route(4, PathAttrs{ASPath: []uint32{9, 10}}),
+	}
+	for _, cands := range [][]*Route{four[:1], four} {
+		if n := testing.AllocsPerRun(100, func() { Best(cands) }); n != 0 {
+			t.Fatalf("Best over %d candidates: %v allocs, want 0", len(cands), n)
+		}
+	}
+	if got := Best(four); got != four[1] {
+		t.Fatalf("Best = %v, want the MED-10 route of neighbour group 7", got)
+	}
+}
+
 func TestBestEmpty(t *testing.T) {
 	if Best(nil) != nil {
 		t.Fatal("Best of nothing should be nil")

@@ -111,16 +111,6 @@ func (t *RIB) Remove(prefix iputil.Prefix, peerAS uint32) bool {
 	return true
 }
 
-// RemovePeer deletes every route learned from peerAS (session teardown)
-// and returns the affected prefixes.
-func (t *RIB) RemovePeer(peerAS uint32) []iputil.Prefix {
-	var affected []iputil.Prefix
-	for i := range t.shards {
-		affected = append(affected, t.ShardRemovePeer(i, peerAS)...)
-	}
-	return affected
-}
-
 // ShardRemovePeer deletes every route learned from peerAS whose prefix
 // lives in the given shard and returns the affected prefixes. Callers
 // parallelizing a session teardown run one call per shard concurrently.

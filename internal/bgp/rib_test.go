@@ -56,12 +56,15 @@ func TestRIBRemovePeer(t *testing.T) {
 	rib.Add(&Route{Prefix: pfx("10.0.0.0/8"), Attrs: &PathAttrs{}, PeerAS: 100})
 	rib.Add(&Route{Prefix: pfx("20.0.0.0/8"), Attrs: &PathAttrs{}, PeerAS: 100})
 	rib.Add(&Route{Prefix: pfx("10.0.0.0/8"), Attrs: &PathAttrs{}, PeerAS: 200})
-	affected := rib.RemovePeer(100)
+	var affected []iputil.Prefix
+	for i := 0; i < RIBShards; i++ {
+		affected = append(affected, rib.ShardRemovePeer(i, 100)...)
+	}
 	if len(affected) != 2 {
-		t.Fatalf("RemovePeer affected %v", affected)
+		t.Fatalf("ShardRemovePeer affected %v", affected)
 	}
 	if rib.Len() != 1 {
-		t.Fatalf("Len = %d after RemovePeer", rib.Len())
+		t.Fatalf("Len = %d after ShardRemovePeer", rib.Len())
 	}
 	if _, ok := rib.Get(pfx("10.0.0.0/8"), 200); !ok {
 		t.Fatal("other peer's route must survive")

@@ -6,8 +6,12 @@
 // is delegated to a per-participant callback so the controller layer can
 // rewrite next hops before the update leaves the box.
 //
+// The Loc-RIB holds one view per prefix — the best route over all routes,
+// plus exceptions for the few viewers from whom something is hidden —
+// rather than one entry per participant per prefix.
+//
 // The server is sharded for full-table feeds: the merged Adj-RIB-In and
-// every participant's Loc-RIB are split into bgp.RIBShards lock domains
+// the Loc-RIB views are split into bgp.RIBShards lock domains
 // keyed by bgp.ShardOf, and the decision process for a batch of updates
 // runs one goroutine per touched shard. Updates for prefixes in different
 // shards never contend; the participant registry has its own lock (pmu)
@@ -15,9 +19,9 @@
 package rs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -91,15 +95,42 @@ type participant struct {
 	cfg ParticipantConfig
 }
 
-// locShard is one lock domain of the per-participant Loc-RIBs: the best
-// routes for every prefix p with bgp.ShardOf(p) == this shard's index,
-// across all participants. Aligning the Loc-RIB shards 1:1 with the
-// Adj-RIB-In shards lets one goroutine apply a shard's RIB mutations and
-// rerun its slice of the decision process without touching any other
-// shard's lock.
+// view is one prefix's Loc-RIB across every viewer, immutable once stored:
+// best is bgp.Best over all of the prefix's routes, and except lists, by
+// AS, the registered viewers whose best differs because something is
+// hidden from them (a nil route: the viewer sees none). Every other
+// registered viewer's best is best.
+type view struct {
+	best   *bgp.Route
+	except []viewerBest
+}
+
+type viewerBest struct {
+	as    uint32
+	route *bgp.Route
+}
+
+// find returns the index of as in v.except, or where it would go.
+func (v view) find(as uint32) (int, bool) {
+	return slices.BinarySearchFunc(v.except, as, func(e viewerBest, as uint32) int { return cmp.Compare(e.as, as) })
+}
+
+// bestFor returns registered viewer as's best route (nil for none).
+func (v view) bestFor(as uint32) *bgp.Route {
+	if i, ok := v.find(as); ok {
+		return v.except[i].route
+	}
+	return v.best
+}
+
+// locShard is one lock domain of the Loc-RIB: the views of every prefix p
+// with bgp.ShardOf(p) == this shard's index. Aligning the Loc-RIB shards
+// 1:1 with the Adj-RIB-In shards lets one goroutine apply a shard's RIB
+// mutations and rerun its slice of the decision process without touching
+// any other shard's lock.
 type locShard struct {
-	mu   sync.RWMutex
-	best map[uint32]map[iputil.Prefix]*bgp.Route // participant AS -> prefix -> best
+	mu    sync.RWMutex
+	views map[iputil.Prefix]view // prefixes with at least one route
 }
 
 // ribMutation is one Adj-RIB-In change extracted from an UPDATE: an
@@ -119,6 +150,9 @@ type Server struct {
 	pmu          sync.RWMutex
 	participants map[uint32]*participant
 	communityAS  uint32 // community semantics (see EnableCommunities); 0 disables
+	// viewers is the registered ASes, sorted, republished (never mutated)
+	// under pmu by every registration change, so readers need no pmu.
+	viewers atomic.Pointer[[]uint32]
 
 	adjIn   *bgp.RIB // merged Adj-RIB-In: route per (prefix, advertising participant)
 	shards  [bgp.RIBShards]locShard
@@ -153,22 +187,27 @@ func WithMetrics(reg *telemetry.Registry) Option {
 		reg.RegisterGaugeFunc("rs.adj_rib_routes", func() int64 {
 			return int64(s.adjIn.Len())
 		})
+		// Every registered viewer of every view, less the exceptions
+		// that see no route.
 		reg.RegisterGaugeFunc("rs.loc_rib_routes", func() int64 {
-			n := 0
+			n, viewers := 0, len(*s.viewers.Load())
 			for si := range s.shards {
 				sh := &s.shards[si]
 				sh.mu.RLock()
-				for _, bm := range sh.best {
-					n += len(bm)
+				for _, v := range sh.views {
+					n += viewers
+					for _, e := range v.except {
+						if e.route == nil {
+							n--
+						}
+					}
 				}
 				sh.mu.RUnlock()
 			}
 			return int64(n)
 		})
 		reg.RegisterGaugeFunc("rs.participants", func() int64 {
-			s.pmu.RLock()
-			defer s.pmu.RUnlock()
-			return int64(len(s.participants))
+			return int64(len(*s.viewers.Load()))
 		})
 	}
 }
@@ -221,8 +260,9 @@ func New(opts ...Option) *Server {
 		adjIn:        bgp.NewRIB(),
 	}
 	for si := range s.shards {
-		s.shards[si].best = make(map[uint32]map[iputil.Prefix]*bgp.Route)
+		s.shards[si].views = make(map[iputil.Prefix]view)
 	}
+	s.viewers.Store(&[]uint32{})
 	for _, o := range opts {
 		o(s)
 	}
@@ -241,29 +281,45 @@ func (s *Server) AddParticipant(cfg ParticipantConfig) error {
 		return fmt.Errorf("rs: duplicate participant AS%d", cfg.AS)
 	}
 	s.participants[cfg.AS] = &participant{cfg: cfg}
-	// A late joiner learns current best routes for every known prefix.
+	// A late joiner learns current best routes for every known prefix;
+	// where its best differs from the view's, it becomes an exception.
 	for si := range s.shards {
 		sh := &s.shards[si]
 		//lint:ignore lockblock pmu-before-shard is the documented lock order; shard critical sections are bounded (no I/O) so registry holders never wait on anything unbounded
 		sh.mu.Lock()
 		for _, prefix := range s.adjIn.ShardPrefixes(si) {
-			best := s.bestFor(cfg.AS, prefix)
-			if best == nil {
-				continue
+			v := sh.views[prefix]
+			best := s.bestFor(cfg.AS, prefix, s.adjIn.Routes(prefix), v.best)
+			if best != v.best {
+				i, _ := v.find(cfg.AS)
+				v.except = slices.Concat(v.except[:i], []viewerBest{{cfg.AS, best}}, v.except[i:])
+				sh.views[prefix] = v
 			}
-			bm := sh.best[cfg.AS]
-			if bm == nil {
-				bm = make(map[iputil.Prefix]*bgp.Route)
-				sh.best[cfg.AS] = bm
-			}
-			bm[prefix] = best
-			if cfg.Advertise != nil {
+			if best != nil && cfg.Advertise != nil {
 				cfg.Advertise(prefix, best)
 			}
 		}
 		sh.mu.Unlock()
 	}
+	s.publishViewersLocked()
 	return nil
+}
+
+// publishViewersLocked republishes the sorted registered ASes. Caller
+// holds pmu for writing.
+func (s *Server) publishViewersLocked() {
+	vs := make([]uint32, 0, len(s.participants))
+	for as := range s.participants {
+		vs = append(vs, as)
+	}
+	slices.Sort(vs)
+	s.viewers.Store(&vs)
+}
+
+// registered reports whether as is a registered participant.
+func (s *Server) registered(as uint32) bool {
+	_, ok := slices.BinarySearch(*s.viewers.Load(), as)
+	return ok
 }
 
 // RemoveParticipant withdraws every route learned from the participant and
@@ -272,6 +328,7 @@ func (s *Server) RemoveParticipant(as uint32) []Event {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	delete(s.participants, as)
+	s.publishViewersLocked()
 	return s.removePeerRoutes(as, true)
 }
 
@@ -288,11 +345,11 @@ func (s *Server) FlushPeer(as uint32) []Event {
 
 // removePeerRoutes drops every route learned from `as` shard by shard in
 // parallel, rerunning the decision process over the affected prefixes.
-// dropView additionally discards the participant's own Loc-RIB view
+// dropView additionally discards the participant's own exceptions
 // (deregistration). Caller holds pmu.
 func (s *Server) removePeerRoutes(as uint32, dropView bool) []Event {
 	t := telemetry.StartTimer(s.mDecisionNS)
-	ases := s.sortedASes()
+	ases := *s.viewers.Load()
 	var results [bgp.RIBShards][]Event
 	var wg sync.WaitGroup
 	for si := range s.shards {
@@ -303,7 +360,12 @@ func (s *Server) removePeerRoutes(as uint32, dropView bool) []Event {
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
 			if dropView {
-				delete(sh.best, as)
+				for prefix, v := range sh.views {
+					if i, ok := v.find(as); ok {
+						v.except = slices.Concat(v.except[:i], v.except[i+1:])
+						sh.views[prefix] = v
+					}
+				}
 			}
 			affected := s.adjIn.ShardRemovePeer(si, as)
 			results[si] = s.decideShardLocked(sh, affected, ases)
@@ -318,42 +380,7 @@ func (s *Server) removePeerRoutes(as uint32, dropView bool) []Event {
 
 // Participants returns the registered AS numbers, sorted.
 func (s *Server) Participants() []uint32 {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	return s.sortedASes()
-}
-
-// sortedASes returns the registered AS numbers sorted. Caller holds pmu.
-func (s *Server) sortedASes() []uint32 {
-	out := make([]uint32, 0, len(s.participants))
-	for as := range s.participants {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// HandleUpdate applies one UPDATE received from participant `from` and
-// returns the best-route changes it caused across all participants.
-// Advertise callbacks fire before HandleUpdate returns.
-//
-// Deprecated-style single-update entry point: it is Apply with a
-// one-element batch. Callers with more than one UPDATE in hand should
-// use Apply (or HandleUpdates) so the decision process runs once per
-// batch instead of once per update.
-func (s *Server) HandleUpdate(from uint32, u *bgp.Update) []Event {
-	return s.Apply([]PeerUpdate{{From: from, Update: u}})
-}
-
-// HandleUpdates applies a burst of UPDATEs from one participant as a
-// single batch. Equivalent to Apply with every update attributed to
-// `from`.
-func (s *Server) HandleUpdates(from uint32, us ...*bgp.Update) []Event {
-	batch := make([]PeerUpdate, len(us))
-	for i, u := range us {
-		batch[i] = PeerUpdate{From: from, Update: u}
-	}
-	return s.Apply(batch)
+	return slices.Clone(*s.viewers.Load())
 }
 
 // Apply applies a batch of UPDATEs — possibly from many participants —
@@ -396,7 +423,7 @@ func (s *Server) Apply(batch []PeerUpdate) []Event {
 	}
 
 	t := telemetry.StartTimer(s.mDecisionNS)
-	ases := s.sortedASes()
+	ases := *s.viewers.Load()
 	var results [bgp.RIBShards][]Event
 	var wg sync.WaitGroup
 	for si := range perShard {
@@ -440,34 +467,31 @@ func (s *Server) applyShard(si int, muts []ribMutation, ases []uint32) []Event {
 	return s.decideShardLocked(sh, affected, ases)
 }
 
-// decideShardLocked recomputes best routes for the affected prefixes (all
-// in sh's shard) for every participant, firing Advertise callbacks for
-// changes. Caller holds pmu and sh.mu.
+// decideShardLocked replaces the views of the affected prefixes (all in
+// sh's shard) with fresh ones and reports, per registered viewer in ases,
+// every change between the old view's result and the new one, firing
+// Advertise callbacks for them. Caller holds pmu and sh.mu.
 func (s *Server) decideShardLocked(sh *locShard, affected []iputil.Prefix, ases []uint32) []Event {
 	var events []Event
 	for _, prefix := range affected {
 		routes := s.adjIn.Routes(prefix)
+		old, cur := sh.views[prefix], view{best: bgp.Best(routes)}
 		for _, as := range ases {
-			p := s.participants[as]
-			bm := sh.best[as]
-			old := bm[prefix]
-			best := s.bestAmong(as, prefix, routes)
-			if old == best {
-				continue
+			best := s.bestFor(as, prefix, routes, cur.best)
+			if best != cur.best {
+				cur.except = append(cur.except, viewerBest{as, best})
 			}
-			if best == nil {
-				delete(bm, prefix)
-			} else {
-				if bm == nil {
-					bm = make(map[iputil.Prefix]*bgp.Route)
-					sh.best[as] = bm
+			if prev := old.bestFor(as); prev != best {
+				events = append(events, Event{Participant: as, Prefix: prefix, Old: prev, New: best})
+				if adv := s.participants[as].cfg.Advertise; adv != nil {
+					adv(prefix, best)
 				}
-				bm[prefix] = best
 			}
-			events = append(events, Event{Participant: as, Prefix: prefix, Old: old, New: best})
-			if p.cfg.Advertise != nil {
-				p.cfg.Advertise(prefix, best)
-			}
+		}
+		if cur.best == nil {
+			delete(sh.views, prefix)
+		} else {
+			sh.views[prefix] = cur
 		}
 	}
 	return events
@@ -488,66 +512,74 @@ func mergeEvents(results *[bgp.RIBShards][]Event) []Event {
 	for _, r := range results {
 		out = append(out, r...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Prefix.Compare(out[j].Prefix); c != 0 {
-			return c < 0
+	slices.SortFunc(out, func(a, b Event) int {
+		if c := a.Prefix.Compare(b.Prefix); c != 0 {
+			return c
 		}
-		return out[i].Participant < out[j].Participant
+		return cmp.Compare(a.Participant, b.Participant)
 	})
 	return out
 }
 
-// bestFor computes the best route for prefix from participant as's view:
-// the best among routes advertised by other participants whose export
-// policy allows as to see them. Caller holds pmu.
-func (s *Server) bestFor(as uint32, prefix iputil.Prefix) *bgp.Route {
-	return s.bestAmong(as, prefix, s.adjIn.Routes(prefix))
+// hidden reports whether route r for prefix is withheld from participant
+// as: its own route (never reflected back to its advertiser), or one its
+// advertiser's export policy or communities deny to as. Caller holds pmu.
+func (s *Server) hidden(as uint32, prefix iputil.Prefix, r *bgp.Route) bool {
+	if r.PeerAS == as {
+		return true
+	}
+	if adv := s.participants[r.PeerAS]; adv != nil && !adv.cfg.Export.Allows(as, prefix) {
+		return true
+	}
+	return !communityAllows(s.communityAS, r, as)
 }
 
-// bestAmong is bestFor over an already fetched Adj-RIB-In route list for
-// prefix, so the decision process reads the list once per prefix rather
-// than once per viewer. Caller holds pmu.
-func (s *Server) bestAmong(as uint32, prefix iputil.Prefix, routes []*bgp.Route) *bgp.Route {
-	var candidates []*bgp.Route
+// bestFor returns participant as's best route for prefix, given all of the
+// prefix's routes and their overall best. Only a viewer shown every route
+// is spared the work. Under deterministic MED, seeing the overall best is
+// not enough: hiding the route that won its neighbour group's MED
+// comparison revives that group's runner-up, which can beat the overall
+// best. Caller holds pmu.
+func (s *Server) bestFor(as uint32, prefix iputil.Prefix, routes []*bgp.Route, best *bgp.Route) *bgp.Route {
+	if !slices.ContainsFunc(routes, func(r *bgp.Route) bool { return s.hidden(as, prefix, r) }) {
+		return best
+	}
+	var buf [8]*bgp.Route
+	candidates := buf[:0]
 	for _, r := range routes {
-		if r.PeerAS == as {
-			continue // never reflect a route back to its advertiser
+		if !s.hidden(as, prefix, r) {
+			candidates = append(candidates, r)
 		}
-		if adv := s.participants[r.PeerAS]; adv != nil && !adv.cfg.Export.Allows(as, prefix) {
-			continue
-		}
-		if !communityAllows(s.communityAS, r, as) {
-			continue
-		}
-		candidates = append(candidates, r)
 	}
 	return bgp.Best(candidates)
 }
 
 // BestRoute returns participant as's current best route for prefix.
 func (s *Server) BestRoute(as uint32, prefix iputil.Prefix) (*bgp.Route, bool) {
+	if !s.registered(as) {
+		return nil, false
+	}
 	sh := &s.shards[bgp.ShardOf(prefix)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	r, ok := sh.best[as][prefix]
-	return r, ok
+	r := sh.views[prefix].bestFor(as)
+	return r, r != nil
 }
 
 // BestRoutes returns a copy of participant as's Loc-RIB, merged across
 // shards; nil if as is not a registered participant.
 func (s *Server) BestRoutes(as uint32) map[iputil.Prefix]*bgp.Route {
-	s.pmu.RLock()
-	defer s.pmu.RUnlock()
-	if s.participants[as] == nil {
+	if !s.registered(as) {
 		return nil
 	}
 	out := make(map[iputil.Prefix]*bgp.Route)
 	for si := range s.shards {
 		sh := &s.shards[si]
-		//lint:ignore lockblock pmu-before-shard is the documented lock order; read-only snapshot over bounded in-memory maps
 		sh.mu.RLock()
-		for k, v := range sh.best[as] {
-			out[k] = v
+		for prefix, v := range sh.views {
+			if r := v.bestFor(as); r != nil {
+				out[prefix] = r
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -656,7 +688,10 @@ func (s *Server) Exports(viewer, via uint32, prefix iputil.Prefix) bool {
 // default next hop used by the SDX's forwarding-equivalence-class grouping
 // (§4.2 pass 2).
 func (s *Server) GlobalBest(prefix iputil.Prefix) *bgp.Route {
-	return bgp.Best(s.adjIn.Routes(prefix))
+	sh := &s.shards[bgp.ShardOf(prefix)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.views[prefix].best
 }
 
 // AnnouncedPrefixes returns the prefixes participant as currently

@@ -28,6 +28,12 @@ func withdraw(prefixes ...string) *bgp.Update {
 	return &bgp.Update{Withdrawn: ps}
 }
 
+// HandleUpdate applies one UPDATE received from participant `from`: Apply
+// with a one-element batch.
+func (s *Server) HandleUpdate(from uint32, u *bgp.Update) []Event {
+	return s.Apply([]PeerUpdate{{From: from, Update: u}})
+}
+
 func newServer(t *testing.T, ases ...uint32) *Server {
 	t.Helper()
 	s := New()
