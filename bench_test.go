@@ -154,7 +154,7 @@ func BenchmarkFig10UpdateTime(b *testing.B) {
 
 // BenchmarkAblation runs the design-choice ablations (DESIGN.md §3): the
 // reported metrics compare the full pipeline against variants with VNH
-// grouping, memoization, or disjoint concatenation disabled.
+// grouping or disjoint concatenation disabled.
 func BenchmarkAblation(b *testing.B) {
 	var rows []experiments.AblationRow
 	var err error
@@ -251,32 +251,48 @@ func BenchmarkRecompile(b *testing.B) {
 	}
 }
 
-// BenchmarkRecompileGrouped measures the full pass as the end-to-end
-// benchmark's policy-recompile phase drives it: the policy-dense 100×400
-// exchange, one participant alternating between two outbound policies
-// towards the two top announcers, a border-router sink attached. adverts/op
-// is what that sink receives per pass: the two policies key the same
-// groups, so no next hop moves and anything above 0 is redundant
-// advertisement.
-func BenchmarkRecompileGrouped(b *testing.B) {
+// groupedRecompiler sets up the policy-dense 100×400 exchange that the
+// end-to-end benchmark's policy-recompile phase drives, and returns it with
+// the participant whose outbound policy alternates and a full pass that
+// installs policy i%2 of two towards the two top announcers. The two
+// policies key the same groups, so no pass moves a next hop.
+func groupedRecompiler(tb testing.TB) (ctrl *core.Controller, viewer uint32, recompile func(i int)) {
 	ctrl, x, err := experiments.NewGroupedExchange(100, 400, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	top := x.TopAnnouncers()
-	wa, wb, viewer := top[0].AS, top[1].AS, top[len(top)-1].AS
+	wa, wb := top[0].AS, top[1].AS
+	viewer = top[len(top)-1].AS
 	policies := [2][]core.Term{
 		{core.Fwd(pkt.MatchAll.DstPort(80), wa), core.Fwd(pkt.MatchAll.DstPort(8080), wb)},
 		{core.Fwd(pkt.MatchAll.DstPort(443), wa), core.Fwd(pkt.MatchAll.DstPort(8443), wb)},
 	}
+	return ctrl, viewer, func(i int) {
+		if rep := ctrl.Recompile(core.CompilePolicy(viewer, nil, policies[i%2])); rep.Err != nil || rep.Rules == 0 {
+			tb.Fatalf("recompile: %d rules, err %v", rep.Rules, rep.Err)
+		}
+	}
+}
+
+// liveHeapMB is the heap in use after a full collection, in MB.
+func liveHeapMB() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
+}
+
+// BenchmarkRecompileGrouped measures the full pass on the exchange of
+// groupedRecompiler, with a border-router sink attached. adverts/op is
+// what that sink receives per pass: no next hop moves, so anything above
+// 0 is redundant advertisement. live-MB is the heap in use after the last
+// pass, with the controller alive.
+func BenchmarkRecompileGrouped(b *testing.B) {
+	ctrl, viewer, recompile := groupedRecompiler(b)
 	adverts := 0
 	if _, err := ctrl.OnRoute(viewer, func(core.RouteAd) { adverts++ }); err != nil {
 		b.Fatal(err)
-	}
-	recompile := func(i int) {
-		if rep := ctrl.Recompile(core.CompilePolicy(viewer, nil, policies[i%2])); rep.Err != nil || rep.Rules == 0 {
-			b.Fatalf("recompile: %d rules, err %v", rep.Rules, rep.Err)
-		}
 	}
 	recompile(1)
 	adverts = 0
@@ -284,7 +300,10 @@ func BenchmarkRecompileGrouped(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		recompile(i)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(adverts)/float64(b.N), "adverts/op")
+	b.ReportMetric(liveHeapMB(), "live-MB")
+	runtime.KeepAlive(ctrl)
 }
 
 // BenchmarkTableLoad measures the table transfer of the RIB-heavy exchange
@@ -303,10 +322,7 @@ func BenchmarkTableLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		live = float64(ms.HeapAlloc) / (1 << 20)
+		live = liveHeapMB()
 		runtime.KeepAlive(ctrl)
 		b.StartTimer()
 	}

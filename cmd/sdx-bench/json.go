@@ -49,7 +49,6 @@ type fig78JSON struct {
 	Groups       int   `json:"groups"`
 	Rules        int   `json:"rules"`
 	CompileNS    int64 `json:"compile_ns"`
-	CacheHits    int   `json:"cacheHits"`
 }
 
 type fig9JSON struct {
@@ -121,7 +120,6 @@ func writeJSONReport(path string, seed int64, full bool) error {
 			Groups:       p.GroupsActual,
 			Rules:        p.Rules,
 			CompileNS:    p.CompileTime.Nanoseconds(),
-			CacheHits:    p.CacheHits,
 		})
 	}
 

@@ -251,40 +251,29 @@ func main() {
 	}
 
 	// Background optimizer: recompile between update bursts (§4.3.2).
+	stopOptimizer := ctrl.StartOptimizer(*optimize)
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(*optimize)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			if ctrl.Dirty() {
-				rep := ctrl.Recompile()
-				log.Printf("background optimization: %d groups, %d rules in %v",
-					rep.Groups, rep.Rules, rep.Elapsed)
-			}
-		case <-stop:
-			log.Printf("shutting down")
-			if ana != nil {
-				ana.Stop()
-			}
-			if prb != nil {
-				prb.Stop()
-			}
-			if rec != nil {
-				rec.Stop()
-			}
-			srv.Close()
-			if queue != nil {
-				queue.Stop()
-				st := queue.Stats()
-				log.Printf("ingestion queue: %d enqueued, %d coalesced, %d applied over %d drains",
-					st.Enqueued, st.Coalesced, st.Applied, st.Drains)
-			}
-			fabricStop()
-			return
-		}
+	<-stop
+	log.Printf("shutting down")
+	stopOptimizer()
+	if ana != nil {
+		ana.Stop()
 	}
+	if prb != nil {
+		prb.Stop()
+	}
+	if rec != nil {
+		rec.Stop()
+	}
+	srv.Close()
+	if queue != nil {
+		queue.Stop()
+		st := queue.Stats()
+		log.Printf("ingestion queue: %d enqueued, %d coalesced, %d applied over %d drains",
+			st.Enqueued, st.Coalesced, st.Applied, st.Drains)
+	}
+	fabricStop()
 }
 
 // loadConfig installs the configuration into ctrl and returns the

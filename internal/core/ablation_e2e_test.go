@@ -82,8 +82,8 @@ func TestNaiveModeForwardsIdentically(t *testing.T) {
 	}
 }
 
-// TestAblationKnobsPreserveSemantics runs the cache and concat knobs over
-// the Figure 1 probes.
+// TestAblationKnobsPreserveSemantics runs the concat knob over the
+// Figure 1 probes.
 func TestAblationKnobsPreserveSemantics(t *testing.T) {
 	f := newFig1(t)
 	f.setFig1Policies(t)
@@ -97,7 +97,6 @@ func TestAblationKnobsPreserveSemantics(t *testing.T) {
 		}
 		f.sendAndExpect(t, f.a, tcp(ip("50.0.0.1"), ip("11.1.1.1"), 22), f.c)
 	}
-	check(core.CompileOptions{DisableCache: true})
 	check(core.CompileOptions{DisableConcat: true})
 	check(core.CompileOptions{})
 }

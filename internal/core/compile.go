@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"sdx/internal/bgp"
 	"sdx/internal/dataplane"
@@ -40,9 +41,6 @@ type Compiled struct {
 	VMACs    []pkt.MAC
 	VNHs     []iputil.Addr
 	GroupIdx map[iputil.Prefix]int
-
-	// Stats carries the policy compiler's work counters.
-	Stats policy.CompileStats
 }
 
 // NumRules returns the total installed rule count (the Figure 7 metric).
@@ -138,8 +136,6 @@ type CompileOptions struct {
 	// prefix, the naive compilation whose rule explosion motivates the
 	// paper's multi-stage FIB.
 	NaiveDstIP bool
-	// DisableCache turns off sub-policy memoization (§4.3.1).
-	DisableCache bool
 	// DisableConcat forces cross-product parallel composition (§4.3.1).
 	DisableConcat bool
 	// Serial forces the single-threaded reference compiler instead of the
@@ -301,17 +297,56 @@ func (c *compiler) group() (out *Compiled, owners []setOwner, sets [][]iputil.Pr
 func (c *compiler) Compile() *Compiled {
 	out, owners, sets, setGroups := c.group()
 	comp := policy.NewCompiler()
-	comp.DisableCache = c.opts.DisableCache
 	comp.DisableConcat = c.opts.DisableConcat
-	stage2 := c.stage2Policy()
-	if stage1, ok := c.stage1Policy(ownerIndex(owners), setGroups, out.VMACs, sets); ok {
-		out.Band1 = finalizeBand(comp.Compile(policy.Seq(stage1, stage2)))
-	}
-	if defaults, ok := c.defaultPolicy(out.Groups, out.VMACs); ok {
-		out.Band2 = finalizeBand(comp.Compile(policy.Seq(defaults, stage2)))
-	}
-	out.Stats = comp.Stats
+	c.assemble(out, owners, sets, setGroups, comp.Compile, false)
 	return out
+}
+
+// assemble compiles the two bands of out, the one band assembly of the
+// serial, parallel and fast compilers: Band1 = stage1 >> stage2 over the
+// input sets and Band2 = defaults >> stage2 over out's groups (§4.1). The
+// stage-2 classifier both bands share is compiled once per pass and
+// composed after each head with policy.Then. A band without a head stays
+// empty. With concurrent set, stage 2 and the two heads compile on their
+// own goroutines, each band composing as soon as its head and stage 2
+// are ready, and assemble returns once all three are joined.
+func (c *compiler) assemble(out *Compiled, owners []setOwner, sets [][]iputil.Prefix, setGroups [][]int, compile func(policy.Policy) policy.Classifier, concurrent bool) {
+	stage1 := c.stage1Policy(ownerIndex(owners), setGroups, out.VMACs, sets)
+	defaults := c.defaultPolicy(out.Groups, out.VMACs)
+	if stage1 == nil && defaults == nil {
+		return
+	}
+	var wg sync.WaitGroup
+	run := func(f func()) {
+		if !concurrent {
+			f()
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	var s2 policy.Classifier
+	s2ready := make(chan struct{})
+	run(func() {
+		defer close(s2ready)
+		s2 = compile(c.stage2Policy())
+	})
+	band := func(head policy.Policy, dst *policy.Classifier) {
+		if head == nil {
+			return
+		}
+		run(func() {
+			h := compile(head)
+			<-s2ready
+			*dst = finalizeBand(policy.Then(h, s2))
+		})
+	}
+	band(stage1, &out.Band1)
+	band(defaults, &out.Band2)
+	wg.Wait()
 }
 
 // ownerIndex maps each set owner back to its set index.
@@ -324,9 +359,9 @@ func ownerIndex(owners []setOwner) map[setOwner]int {
 }
 
 // stage1Policy builds the union of every participant's isolated,
-// BGP-augmented outbound policy (§4.1 transformations 1–2). The boolean is
-// false when no participant has outbound terms.
-func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vmacs []pkt.MAC, sets [][]iputil.Prefix) (policy.Policy, bool) {
+// BGP-augmented outbound policy (§4.1 transformations 1–2), or nil when no
+// participant has outbound terms.
+func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vmacs []pkt.MAC, sets [][]iputil.Prefix) policy.Policy {
 	var perParticipant []policy.Policy
 	for _, as := range sortedASNs(c.parts) {
 		p := c.parts[as]
@@ -396,9 +431,9 @@ func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vm
 		}
 	}
 	if len(perParticipant) == 0 {
-		return nil, false
+		return nil
 	}
-	return policy.Union(perParticipant...), true
+	return policy.Union(perParticipant...)
 }
 
 // stage2Policy builds the union of every participant's virtual-switch
@@ -507,9 +542,9 @@ func (c *compiler) resolveOwner(addr iputil.Addr) *Participant {
 
 // defaultPolicy builds the per-group default forwarding band (§4.1
 // transformation 3, sender side): traffic tagged with a group's VMAC is
-// forwarded to the group's default next-hop participant. The boolean is
-// false when there are no groups with a usable next hop.
-func (c *compiler) defaultPolicy(groups []PrefixGroup, vmacs []pkt.MAC) (policy.Policy, bool) {
+// forwarded to the group's default next-hop participant. It is nil when no
+// group has a usable next hop.
+func (c *compiler) defaultPolicy(groups []PrefixGroup, vmacs []pkt.MAC) policy.Policy {
 	var gpols []policy.Policy
 	for gi := range groups {
 		owner := c.parts[groups[gi].DefaultAS]
@@ -533,9 +568,9 @@ func (c *compiler) defaultPolicy(groups []PrefixGroup, vmacs []pkt.MAC) (policy.
 		))
 	}
 	if len(gpols) == 0 {
-		return nil, false
+		return nil
 	}
-	return policy.Union(gpols...), true
+	return policy.Union(gpols...)
 }
 
 // finalizeBand post-processes a composed classifier for installation:
@@ -594,23 +629,13 @@ func (c *compiler) CompileFast(prefix iputil.Prefix) *Compiled {
 		VNHs:     []iputil.Addr{VNHAddr(idx)},
 		GroupIdx: map[iputil.Prefix]int{prefix: 0},
 	}
-	// setGroups: set si contains the (single) group iff si ∈ g.Sets.
+	// Set si holds the (single) prefix and group iff si ∈ g.Sets.
+	sets := make([][]iputil.Prefix, len(owners))
 	setGroups := make([][]int, len(owners))
 	for _, si := range g.Sets {
+		sets[si] = []iputil.Prefix{prefix}
 		setGroups[si] = []int{0}
 	}
-	comp := policy.NewCompiler()
-	stage2 := c.stage2Policy()
-	fastSets := make([][]iputil.Prefix, len(owners))
-	for _, si := range g.Sets {
-		fastSets[si] = []iputil.Prefix{prefix}
-	}
-	if stage1, ok := c.stage1Policy(ownerIndex(owners), setGroups, out.VMACs, fastSets); ok {
-		out.Band1 = finalizeBand(comp.Compile(policy.Seq(stage1, stage2)))
-	}
-	if defaults, ok := c.defaultPolicy(out.Groups, out.VMACs); ok {
-		out.Band2 = finalizeBand(comp.Compile(policy.Seq(defaults, stage2)))
-	}
-	out.Stats = comp.Stats
+	c.assemble(out, owners, sets, setGroups, policy.NewCompiler().Compile, false)
 	return out
 }

@@ -3,7 +3,7 @@ package core
 // CompileOption configures one Recompile pass, mirroring the
 // NewController(opts ...Option) pattern. The zero-option call
 // Recompile() runs the paper's full pipeline (parallel compiler, VNH
-// grouping, memoization, disjoint concatenation).
+// grouping, disjoint concatenation).
 type CompileOption func(*compileConfig)
 
 // compileConfig is the resolved form of a Recompile call's options.
@@ -32,11 +32,6 @@ func CompileNaiveDstIP() CompileOption {
 	return func(cfg *compileConfig) { cfg.opts.NaiveDstIP = true }
 }
 
-// CompileWithoutCache turns off sub-policy memoization (§4.3.1 ablation).
-func CompileWithoutCache() CompileOption {
-	return func(cfg *compileConfig) { cfg.opts.DisableCache = true }
-}
-
 // CompileWithoutConcat forces full cross-product parallel composition
 // even for disjoint guarded policies (§4.3.1 ablation).
 func CompileWithoutConcat() CompileOption {
@@ -48,7 +43,6 @@ func CompileWithoutConcat() CompileOption {
 func WithCompileOptions(o CompileOptions) CompileOption {
 	return func(cfg *compileConfig) {
 		cfg.opts.NaiveDstIP = cfg.opts.NaiveDstIP || o.NaiveDstIP
-		cfg.opts.DisableCache = cfg.opts.DisableCache || o.DisableCache
 		cfg.opts.DisableConcat = cfg.opts.DisableConcat || o.DisableConcat
 		cfg.opts.Serial = cfg.opts.Serial || o.Serial
 	}

@@ -53,14 +53,13 @@ type UpdateResult struct {
 
 // CompileReport summarizes a full compilation pass (Fig 8).
 type CompileReport struct {
-	Groups    int
-	Rules     int // band1+band2 (Fig 7)
-	Band1     int
-	Band2     int
-	Elapsed   time.Duration
-	VNHCount  int
-	CacheHits int
-	Workers   int // compile pool size (1 for the serial baseline)
+	Groups   int
+	Rules    int // band1+band2 (Fig 7)
+	Band1    int
+	Band2    int
+	Elapsed  time.Duration
+	VNHCount int
+	Workers  int // compile pool size (1 for the serial baseline)
 
 	// Err is non-nil when a CompilePolicy option failed validation; the
 	// pass was aborted and no compilation ran.
@@ -79,9 +78,9 @@ type Controller struct {
 	parts map[uint32]*Participant
 	vnhs  *vnhTable
 
-	// pcomp is the persistent parallel policy compiler; its memo cache
-	// is emptied (Reset) at the start of every full recompilation.
-	// compileWorkers bounds its pool (0 = GOMAXPROCS).
+	// pcomp is the persistent parallel policy compiler; its work
+	// counters are zeroed (Reset) at the start of every full
+	// recompilation. compileWorkers bounds its pool (0 = GOMAXPROCS).
 	pcomp          *policy.ParallelCompiler
 	compileWorkers int
 
@@ -706,11 +705,10 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 	if opts.Serial {
 		compiled = comp.Compile()
 	} else {
-		// Empty cache: workers never observe entries memoized by a
-		// previous recompilation, and that pass's policy trees are freed.
 		c.pcomp.Reset()
 		compiled = comp.CompileParallel(c.pcomp)
 		workers = c.pcomp.Workers()
+		c.m.busyNS.Add(c.pcomp.Stats().BusyNS)
 	}
 
 	band1 := dataplane.EntriesFromClassifier(compiled.Band1, band1Base, cookieBand1)
@@ -744,18 +742,15 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 	}
 
 	rep := CompileReport{
-		Groups:    len(compiled.Groups),
-		Rules:     compiled.NumRules(),
-		Band1:     len(compiled.Band1),
-		Band2:     len(compiled.Band2),
-		Elapsed:   t.Stop(),
-		VNHCount:  c.vnhs.alloc.Allocated(),
-		CacheHits: compiled.Stats.CacheHits,
-		Workers:   workers,
+		Groups:   len(compiled.Groups),
+		Rules:    compiled.NumRules(),
+		Band1:    len(compiled.Band1),
+		Band2:    len(compiled.Band2),
+		Elapsed:  t.Stop(),
+		VNHCount: c.vnhs.alloc.Allocated(),
+		Workers:  workers,
 	}
 	c.m.rulesInstalled.Add(int64(rep.Rules))
-	c.m.cacheHits.Add(int64(rep.CacheHits))
-	c.m.busyNS.Add(compiled.Stats.BusyNS)
 	c.m.groups.Set(int64(rep.Groups))
 	c.m.band1.Set(int64(rep.Band1))
 	c.m.band2.Set(int64(rep.Band2))

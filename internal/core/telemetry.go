@@ -39,8 +39,7 @@ type ctrlMetrics struct {
 	rulesInstalled *telemetry.Counter // controller.rules_installed
 	arpReplies     *telemetry.Counter // controller.arp_replies
 
-	cacheHits *telemetry.Counter // compiler.cache_hits
-	busyNS    *telemetry.Counter // compiler.busy_ns
+	busyNS *telemetry.Counter // compiler.busy_ns
 
 	groups        *telemetry.Gauge // controller.groups
 	band1         *telemetry.Gauge // controller.rules_band1
@@ -64,7 +63,6 @@ func (c *Controller) initTelemetry() {
 		compileNS:      reg.Histogram("controller.compile_ns"),
 		rulesInstalled: reg.Counter("controller.rules_installed"),
 		arpReplies:     reg.Counter("controller.arp_replies"),
-		cacheHits:      reg.Counter("compiler.cache_hits"),
 		busyNS:         reg.Counter("compiler.busy_ns"),
 		groups:         reg.Gauge("controller.groups"),
 		band1:          reg.Gauge("controller.rules_band1"),
@@ -95,9 +93,6 @@ func (c *Controller) initTelemetry() {
 	})
 	reg.RegisterGaugeFunc("dataplane.engine_builds", func() int64 {
 		return int64(sw.Table().EngineBuilds())
-	})
-	reg.RegisterGaugeFunc("compiler.cache_entries", func() int64 {
-		return int64(pcomp.CacheLen())
 	})
 	reg.RegisterGaugeFunc("compiler.workers", func() int64 {
 		return int64(pcomp.Workers())

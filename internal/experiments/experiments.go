@@ -154,7 +154,6 @@ type Fig78Point struct {
 	Rules        int
 	CompileTime  time.Duration
 	VNHCompute   time.Duration // included in CompileTime; grouping only
-	CacheHits    int
 }
 
 // buildGroupedExchange loads an IXP and installs the §6.1 policy mix plus
@@ -254,7 +253,6 @@ func Fig78(participants []int, groupSteps []int, seed int64) ([]Fig78Point, erro
 				GroupsActual: rep.Groups,
 				Rules:        rep.Rules,
 				CompileTime:  rep.Elapsed,
-				CacheHits:    rep.CacheHits,
 			})
 		}
 	}

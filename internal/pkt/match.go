@@ -11,7 +11,7 @@ import (
 // Match is a conjunctive predicate over packet headers. Unset fields are
 // wildcards; IP fields carry prefix constraints, all other fields are exact.
 // The zero Match matches every packet. Match is a comparable value type, so
-// it can key maps (used by the compiler's memoization and dedup passes).
+// it can key maps.
 type Match struct {
 	present uint16 // bitmask indexed by Field
 

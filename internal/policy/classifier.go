@@ -139,9 +139,12 @@ outer:
 	return out
 }
 
-// seqCompose returns the classifier for "c1 then c2": each output packet
-// of c1 is fed through c2. Both inputs must be total; the result is total.
-func seqCompose(c1, c2 Classifier) Classifier {
+// Then returns the classifier for "c1 then c2": each output packet of c1
+// is fed through c2. Both inputs must be total; the result is total, and
+// Then(Compile(a), Compile(b)) is rule-for-rule Compile(Seq(a, b)), so a
+// caller composing one compiled classifier after several others compiles
+// it once.
+func Then(c1, c2 Classifier) Classifier {
 	var out Classifier
 	for _, r1 := range c1 {
 		out = append(out, seqRule(r1, c2)...)

@@ -9,84 +9,52 @@ import (
 // CompileStats counts the work a compilation performed; the SDX evaluation
 // (§6.3) reports these alongside wall-clock time.
 type CompileStats struct {
-	SeqOps    int   // sequential composition operations
-	ParOps    int   // parallel composition operations
-	CacheHits int   // memoized sub-policies reused (§4.3.1)
-	Rules     int   // rules in the most recent result
-	BusyNS    int64 // pool-worker busy time (parallel compiler only)
+	SeqOps int   // sequential composition operations
+	ParOps int   // parallel composition operations
+	BusyNS int64 // pool-worker busy time (parallel compiler only)
 }
 
-// Compiler translates policies to classifiers. It memoizes compiled
-// sub-policies by node identity, so a policy node reused across several
-// compositions — the common case at an SDX, where a big participant's
-// policy is composed with everyone else's — compiles once (§4.3.1).
+// Compiler translates policies to classifiers, one node at a time, on the
+// calling goroutine — the reference the parallel compiler is checked
+// against. It keeps no classifier between calls: a sub-classifier that
+// several compositions share is compiled once by the caller and composed
+// with Then.
 //
-// The zero value is not usable; call NewCompiler. A Compiler is not safe
-// for concurrent use; the SDX runtime serializes compilations.
+// The zero value is ready to use. A Compiler is not safe for concurrent
+// use.
 type Compiler struct {
-	cache map[Policy]Classifier
 	Stats CompileStats
 
-	// DisableCache turns off sub-policy memoization (§4.3.1 ablation).
-	DisableCache bool
 	// DisableConcat forces full cross-product parallel composition even
 	// for disjoint guarded policies (§4.3.1 ablation).
 	DisableConcat bool
 }
 
-// NewCompiler returns an empty compiler.
-func NewCompiler() *Compiler {
-	return &Compiler{cache: make(map[Policy]Classifier)}
-}
-
-// Invalidate drops the memoization entry for a policy node (used when a
-// participant's policy object is rewritten in place between compilations).
-func (c *Compiler) Invalidate(p Policy) { delete(c.cache, p) }
-
-// Reset clears the entire memoization cache and statistics.
-func (c *Compiler) Reset() {
-	c.cache = make(map[Policy]Classifier)
-	c.Stats = CompileStats{}
-}
-
-// CacheLen returns the number of memoized sub-policies.
-func (c *Compiler) CacheLen() int { return len(c.cache) }
+// NewCompiler returns a compiler with zeroed statistics.
+func NewCompiler() *Compiler { return &Compiler{} }
 
 // Compile translates a policy into an equivalent total classifier.
 func (c *Compiler) Compile(p Policy) Classifier {
-	out := c.compile(p)
-	c.Stats.Rules = len(out)
-	return out
-}
-
-func (c *Compiler) compile(p Policy) Classifier {
-	if cl, ok := c.cache[p]; ok && !c.DisableCache {
-		c.Stats.CacheHits++
-		return cl
-	}
-	var cl Classifier
 	switch n := p.(type) {
 	case *Filter:
-		cl = compileFilter(n)
+		return compileFilter(n)
 	case *Fwd:
-		cl = compileFwd(n)
+		return compileFwd(n)
 	case *Mod:
-		cl = compileMod(n)
+		return compileMod(n)
 	case *Drop:
-		cl = Classifier{{Match: pkt.MatchAll}}
+		return Classifier{{Match: pkt.MatchAll}}
 	case *Pass:
-		cl = Classifier{{Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Pass}}}
+		return Classifier{{Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Pass}}}
 	case *Parallel:
-		cl = c.compileParallel(n.Ps)
+		return c.compileParallel(n.Ps)
 	case *Sequential:
-		cl = c.compileSequential(n.Ps)
+		return c.compileSequential(n.Ps)
 	case *If:
-		cl = c.compileIf(n)
+		return c.compileIf(n)
 	default:
 		panic(fmt.Sprintf("policy: unknown node type %T", p))
 	}
-	c.cache[p] = cl
-	return cl
 }
 
 // Leaf translations shared by the serial and parallel compilers.
@@ -117,7 +85,7 @@ func (c *Compiler) compileParallel(ps []Policy) Classifier {
 	// composition is concatenation (§4.3.1).
 	sub := make([]Classifier, len(ps))
 	for i, p := range ps {
-		sub[i] = c.compile(p)
+		sub[i] = c.Compile(p)
 	}
 	if len(sub) > 1 && !c.DisableConcat {
 		if cat, ok := ConcatDisjoint(sub...); ok {
@@ -136,10 +104,10 @@ func (c *Compiler) compileSequential(ps []Policy) Classifier {
 	if len(ps) == 0 {
 		return Classifier{{Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Pass}}}
 	}
-	acc := c.compile(ps[0])
+	acc := c.Compile(ps[0])
 	for _, p := range ps[1:] {
 		c.Stats.SeqOps++
-		acc = seqCompose(acc, c.compile(p))
+		acc = Then(acc, c.Compile(p))
 	}
 	return acc
 }
@@ -149,9 +117,9 @@ func (c *Compiler) compileSequential(ps []Policy) Classifier {
 // pass-regions and drop-regions in priority order; pass-regions are crossed
 // with the then-classifier and drop-regions with the else-classifier.
 func (c *Compiler) compileIf(n *If) Classifier {
-	pred := c.compile(n.Pred)
-	thenC := c.compile(n.Then)
-	elseC := c.compile(n.Else)
+	pred := c.Compile(n.Pred)
+	thenC := c.Compile(n.Then)
+	elseC := c.Compile(n.Else)
 	return composeIf(pred, thenC, elseC)
 }
 

@@ -187,34 +187,6 @@ func TestSeqModThenMatch(t *testing.T) {
 	}
 }
 
-func TestCompilerMemoization(t *testing.T) {
-	shared := Seq(Match(pkt.MatchAll.DstPort(80)), FwdTo(1))
-	comp := NewCompiler()
-	comp.Compile(Union(Seq(Match(pkt.MatchAll.InPort(1)), shared), Seq(Match(pkt.MatchAll.InPort(2)), shared)))
-	if comp.Stats.CacheHits == 0 {
-		t.Fatal("shared sub-policy should produce cache hits")
-	}
-	if comp.CacheLen() == 0 {
-		t.Fatal("cache should be populated")
-	}
-	comp.Reset()
-	if comp.CacheLen() != 0 || comp.Stats.CacheHits != 0 {
-		t.Fatal("Reset should clear cache and stats")
-	}
-}
-
-func TestCompilerInvalidate(t *testing.T) {
-	comp := NewCompiler()
-	f := FwdTo(1)
-	c1 := comp.Compile(f)
-	f.Port = 2 // mutate in place (the runtime never does this without invalidating)
-	comp.Invalidate(f)
-	c2 := comp.Compile(f)
-	if c1[0].Actions[0].Out == c2[0].Actions[0].Out {
-		t.Fatal("Invalidate should force recompilation")
-	}
-}
-
 // --- Random differential testing: AST interpreter vs compiled classifier ---
 
 type polGen struct {
@@ -369,5 +341,43 @@ func BenchmarkClassifierEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Eval(in)
+	}
+}
+
+// TestThenMatchesSeq: composing two separately compiled classifiers with
+// Then is rule-for-rule what either compiler makes of Seq(a, b) — the
+// identity that lets the SDX pipeline compile the shared stage-2 policy
+// once per pass. Heads include Sequential, Parallel and If nodes.
+func TestThenMatchesSeq(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	compilers := []struct {
+		name    string
+		compile func(Policy) Classifier
+	}{
+		{"serial", func(p Policy) Classifier { return NewCompiler().Compile(p) }},
+		{"parallel", NewParallelCompiler(4).Compile},
+	}
+	for trial := 0; trial < 200; trial++ {
+		leaves := randLeaves(r, 4+r.Intn(8))
+		sub := func() Policy { return randPolicy(r, 3, leaves) }
+		var a Policy
+		switch trial % 4 {
+		case 0:
+			a = Seq(sub(), sub())
+		case 1:
+			a = Union(sub(), sub(), sub())
+		case 2:
+			a = IfThenElse(Match(pkt.MatchAll.DstPort(uint16(80+r.Intn(4)))), sub(), sub())
+		default:
+			a = sub()
+		}
+		b := sub()
+		for _, c := range compilers {
+			want := c.compile(Seq(a, b))
+			got := Then(c.compile(a), c.compile(b))
+			if err := sameClassifier(want, got); err != nil {
+				t.Fatalf("trial %d (%s): %v\na: %s\nb: %s", trial, c.name, err, a, b)
+			}
+		}
 	}
 }

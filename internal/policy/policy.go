@@ -18,9 +18,8 @@ import (
 )
 
 // Policy is a node in the policy AST. Policies are immutable once built;
-// nodes are created through the constructor functions so that identical
-// sub-policies can be shared and the compiler can memoize by node identity
-// (the paper's §4.3.1 "policy idioms appear more than once" optimization).
+// nodes are created through the constructor functions, and identical
+// sub-policies can be shared between compositions.
 type Policy interface {
 	// Eval applies the policy's denotation to one located packet.
 	Eval(p pkt.Packet) []pkt.Packet

@@ -143,8 +143,6 @@ var (
 	CompileSerial = core.CompileSerial
 	// CompileNaiveDstIP disables VNH grouping (one rule per prefix).
 	CompileNaiveDstIP = core.CompileNaiveDstIP
-	// CompileWithoutCache disables sub-policy memoization.
-	CompileWithoutCache = core.CompileWithoutCache
 	// CompileWithoutConcat disables disjoint concatenation.
 	CompileWithoutConcat = core.CompileWithoutConcat
 	// WithCompileOptions applies a whole CompileOptions struct.
