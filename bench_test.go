@@ -169,37 +169,6 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileSerialVsParallel measures the tentpole speedup: one
-// exchange compiled by the serial reference compiler and by the parallel
-// pipeline. On a multi-core machine the parallel/ sub-benchmarks should
-// run well under the serial/ ones (≥2x at 300 participants on 4+ cores);
-// on a single core they track each other. `sdx-bench -json` records the
-// same comparison in BENCH_compile.json.
-func BenchmarkCompileSerialVsParallel(b *testing.B) {
-	for _, n := range []int{100, 300} {
-		ctrl, _, err := experiments.NewGroupedExchange(n, 2*n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range []struct {
-			name   string
-			serial bool
-		}{
-			{"serial", true},
-			{"parallel", false},
-		} {
-			b.Run(fmt.Sprintf("participants=%d/%s", n, mode.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rep := ctrl.Recompile(WithCompileOptions(CompileOptions{Serial: mode.serial}))
-					if rep.Rules == 0 {
-						b.Fatal("no rules")
-					}
-				}
-			})
-		}
-	}
-}
-
 // --- Hot-path micro-benchmarks ----------------------------------------------
 
 // BenchmarkProcessUpdate measures the controller's full fast path for a

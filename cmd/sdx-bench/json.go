@@ -12,22 +12,18 @@ import (
 
 // benchReport is the machine-readable benchmark baseline written by
 // `sdx-bench -json` (schema sdx-bench/compile/v1). All durations are
-// integer nanoseconds in fields suffixed _ns. The speedup series
-// compares the serial reference compiler against the parallel pipeline
-// on the same exchanges; `identical` asserts byte-equal output. Note
-// `host.cpus`: speedups near 1.0 on single-core runners are expected —
-// compare like with like across baselines.
+// integer nanoseconds in fields suffixed _ns. Note `host.cpus`: compare
+// like with like across baselines.
 type benchReport struct {
-	Schema      string        `json:"schema"`
-	GeneratedAt time.Time     `json:"generatedAt"`
-	Seed        int64         `json:"seed"`
-	Full        bool          `json:"full"`
-	Host        hostInfo      `json:"host"`
-	Fig6        []fig6JSON    `json:"fig6"`
-	Fig78       []fig78JSON   `json:"fig78"`
-	Fig9        []fig9JSON    `json:"fig9"`
-	Fig10       []fig10JSON   `json:"fig10"`
-	Speedup     []speedupJSON `json:"speedup"`
+	Schema      string      `json:"schema"`
+	GeneratedAt time.Time   `json:"generatedAt"`
+	Seed        int64       `json:"seed"`
+	Full        bool        `json:"full"`
+	Host        hostInfo    `json:"host"`
+	Fig6        []fig6JSON  `json:"fig6"`
+	Fig78       []fig78JSON `json:"fig78"`
+	Fig9        []fig9JSON  `json:"fig9"`
+	Fig10       []fig10JSON `json:"fig10"`
 }
 
 type hostInfo struct {
@@ -66,18 +62,8 @@ type fig10JSON struct {
 	MaxNS        int64 `json:"max_ns"`
 }
 
-type speedupJSON struct {
-	Participants int     `json:"participants"`
-	Groups       int     `json:"groups"`
-	Workers      int     `json:"workers"`
-	SerialNS     int64   `json:"serial_ns"`
-	ParallelNS   int64   `json:"parallel_ns"`
-	Speedup      float64 `json:"speedup"`
-	Identical    bool    `json:"identical"`
-}
-
-// writeJSONReport runs the compile-oriented experiments (Fig 6–10 plus
-// the serial-vs-parallel speedup series) and writes the baseline file.
+// writeJSONReport runs the compile-oriented experiments (Fig 6–10) and
+// writes the baseline file.
 func writeJSONReport(path string, seed int64, full bool) error {
 	report := benchReport{
 		Schema:      "sdx-bench/compile/v1",
@@ -98,12 +84,10 @@ func writeJSONReport(path string, seed int64, full bool) error {
 	groupSteps := []int{200, 400, 600}
 	burstSizes := []int{0, 20, 40, 60, 80, 100}
 	fig9Groups, fig10Updates, fig10Groups := 300, 300, 300
-	speedupGroups := 600
 	if full {
 		fig6Steps, fig6Total = []int{1000, 5000, 10000, 15000, 20000, 25000}, 25000
 		groupSteps = []int{200, 400, 600, 800, 1000}
 		fig9Groups, fig10Updates, fig10Groups = 1000, 1000, 1000
-		speedupGroups = 1000
 	}
 
 	for _, p := range experiments.Fig6(participants, fig6Steps, fig6Total, seed) {
@@ -146,25 +130,6 @@ func writeJSONReport(path string, seed int64, full bool) error {
 		})
 	}
 
-	speedup, err := experiments.CompileSpeedup(participants, speedupGroups, seed)
-	if err != nil {
-		return err
-	}
-	for _, p := range speedup {
-		if !p.Identical {
-			return fmt.Errorf("speedup: parallel output diverged from serial at %d participants", p.Participants)
-		}
-		report.Speedup = append(report.Speedup, speedupJSON{
-			Participants: p.Participants,
-			Groups:       p.Groups,
-			Workers:      p.Workers,
-			SerialNS:     p.Serial.Nanoseconds(),
-			ParallelNS:   p.Parallel.Nanoseconds(),
-			Speedup:      p.Speedup,
-			Identical:    p.Identical,
-		})
-	}
-
 	buf, err := json.MarshalIndent(&report, "", "  ")
 	if err != nil {
 		return err
@@ -173,14 +138,6 @@ func writeJSONReport(path string, seed int64, full bool) error {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d bytes, %d cpus, %d workers)\n",
-		path, len(buf), report.Host.CPUs, report.Speedup[0].Workers)
-	for _, s := range report.Speedup {
-		fmt.Printf("  %d participants: serial %s, parallel %s, speedup %.2fx\n",
-			s.Participants,
-			time.Duration(s.SerialNS).Round(time.Millisecond),
-			time.Duration(s.ParallelNS).Round(time.Millisecond),
-			s.Speedup)
-	}
+	fmt.Printf("wrote %s (%d bytes, %d cpus)\n", path, len(buf), report.Host.CPUs)
 	return nil
 }

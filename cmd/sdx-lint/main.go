@@ -158,7 +158,7 @@ func runTables(n int, jsonOut bool, outFile string) int {
 			fmt.Fprintf(os.Stderr, "sdx-lint: case %d: %v\n", i, err)
 			return 2
 		}
-		in.Compile(false)
+		in.Compile()
 		if bursts > 0 {
 			in.Replay(in.Trace(bursts*3, w.Seed+99))
 		}

@@ -35,8 +35,8 @@ func TestCoalescedBurstMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial.Compile(false)
-			coal.Compile(false)
+			serial.Compile()
+			coal.Compile()
 
 			// Amplify the trace: replaying it three times rewrites every
 			// (peer, prefix) key three times over, so the queue must coalesce
@@ -57,8 +57,8 @@ func TestCoalescedBurstMatchesSerial(t *testing.T) {
 
 			// Intermediate rule churn legitimately differs; the end state may
 			// not. Full recompile on both sides, then compare every observable.
-			cs := serial.Compile(false)
-			cc := coal.Compile(false)
+			cs := serial.Compile()
+			cc := coal.Compile()
 			if err := DiffText("post-burst canonical", cs, cc); err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,9 @@
 // Package compiletest is the differential-testing harness for the SDX
 // two-stage compiler: it builds identical synthesized IXP workloads,
-// drives one controller through the serial reference compiler and another
-// through the parallel pipeline, and checks that the two produce
-// byte-identical results — canonical classifier dumps, rule streams
-// pushed to the fabric, and forwarding outcomes — including across
-// simulated BGP update bursts and CompileFast incremental state.
+// drives controllers built from them through compilations, BGP update
+// bursts and CompileFast incremental state, and compares what they
+// produce — canonical classifier dumps, rule streams pushed to the
+// fabric, and forwarding outcomes.
 package compiletest
 
 import (
@@ -87,10 +86,10 @@ func Build(w Workload) (*Instance, error) {
 	return in, nil
 }
 
-// Compile runs a full recompilation, serial or parallel, and returns the
-// canonical form of the result.
-func (in *Instance) Compile(serial bool) string {
-	in.Ctrl.Recompile(core.WithCompileOptions(core.CompileOptions{Serial: serial}))
+// Compile runs a full recompilation and returns the canonical form of the
+// result.
+func (in *Instance) Compile() string {
+	in.Ctrl.Recompile()
 	return in.Ctrl.Compiled().Canonical()
 }
 
@@ -99,7 +98,7 @@ func (in *Instance) Compile(serial bool) string {
 // over the rendered classifier bands, returning an error on any
 // equal-priority conflict or shadowed rule. The differential suite calls
 // it after every compile and burst replay, so each workload is proven
-// conflict-free in addition to serial/parallel-identical.
+// conflict-free in addition to deterministic.
 func (in *Instance) VerifyTables() error {
 	rep := verify.Table(in.Ctrl.Switch().Table())
 	if c := in.Ctrl.Compiled(); c != nil {
@@ -319,7 +318,7 @@ func ProbePackets(ctrl *core.Controller, viewers, routes int) []Probe {
 // legitimately move an un-grouped prefix from the fast band back to L2
 // forwarding, but the egress port must not change. Because keys carry no
 // VNH/VMAC bytes, Outcomes taken before and after a full recompilation —
-// or from a serial- vs parallel-compiled controller — must be equal.
+// or after a per-prefix (CompileNaiveDstIP) one — must be equal.
 func Outcomes(ctrl *core.Controller, viewers, routes int) map[string]string {
 	out := make(map[string]string)
 	for _, pr := range ProbePackets(ctrl, viewers, routes) {

@@ -3,89 +3,101 @@ package compiletest
 import (
 	"fmt"
 	"testing"
+
+	"sdx/internal/core"
 )
 
-// TestDifferentialSerialVsParallel is the compiler equivalence suite: 200
-// randomized IXP workloads, each compiled by the serial reference
-// implementation and by the parallel pipeline on separate but identical
-// controllers. For every case the canonical classifier dumps and the
-// fabric rule streams must be byte-identical; cases with BGP bursts also
-// replay the same update trace through both controllers and check the
-// incremental fast-path output, the post-burst recompilation, and the
-// CompileFast-vs-full forwarding semantics.
+// TestDifferentialSerialVsParallel is the differential corpus: 200
+// randomized IXP workloads. (The name predates the single policy
+// compiler; it is kept so per-case results stay comparable across
+// history.) Each case checks three properties:
+//
+//   - Determinism: two controllers built from the same workload and fed
+//     the same BGP update trace produce byte-identical canonical
+//     classifier dumps, fabric rule streams and fast-band rule counts.
+//   - Soundness: the installed tables pass the semantic verifier and the
+//     compiled dispatch engine agrees with the naive table scan, after the
+//     initial compile, after the burst replay through CompileFast, and
+//     after the post-burst recompilation; and forwarding with the fast
+//     band active equals forwarding after that recompilation.
+//   - Grouping is an optimisation: the forwarding outcomes of the §4.2
+//     VNH/VMAC pipeline equal those of the per-prefix lowering
+//     (CompileNaiveDstIP), an independent compilation that groups nothing,
+//     and a full recompilation afterwards restores them.
 func TestDifferentialSerialVsParallel(t *testing.T) {
 	for i := 0; i < CorpusSize; i++ {
 		t.Run(fmt.Sprintf("case%03d", i), func(t *testing.T) {
 			w, bursts := CorpusWorkload(i)
 
-			serial, err := Build(w)
+			a, err := Build(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Build(w)
+			b, err := Build(w)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			cs := serial.Compile(true)
-			cp := par.Compile(false)
-			if err := DiffText("initial compile", cs, cp); err != nil {
+			if err := DiffText("initial compile", a.Compile(), b.Compile()); err != nil {
 				t.Fatal(err)
 			}
-			if err := DiffLines("initial rule stream", serial.Rules.Log(), par.Rules.Log()); err != nil {
+			if err := DiffLines("initial rule stream", a.Rules.Log(), b.Rules.Log()); err != nil {
 				t.Fatal(err)
 			}
-			if err := par.VerifyTables(); err != nil {
+			if err := b.VerifyTables(); err != nil {
 				t.Fatalf("initial compile: %v", err)
 			}
-			if err := par.VerifyEngine(4, 6); err != nil {
+			if err := b.VerifyEngine(4, 6); err != nil {
 				t.Fatalf("initial compile: engine divergence: %v", err)
 			}
 
-			if bursts == 0 {
-				if err := DiffOutcomes("forwarding", Outcomes(serial.Ctrl, 4, 6), Outcomes(par.Ctrl, 4, 6)); err != nil {
+			if bursts > 0 {
+				// Same trace content on both sides: instances are
+				// identical, so Trace() synthesizes identical event streams.
+				fastA := a.Replay(a.Trace(bursts*3, w.Seed+99))
+				fastB := b.Replay(b.Trace(bursts*3, w.Seed+99))
+				if fastA != fastB {
+					t.Fatalf("fast-band rules diverged: %d vs %d", fastA, fastB)
+				}
+				if err := DiffLines("burst rule stream", a.Rules.Log(), b.Rules.Log()); err != nil {
 					t.Fatal(err)
 				}
-				return
+				if err := b.VerifyTables(); err != nil {
+					t.Fatalf("after burst replay: %v", err)
+				}
+				if err := b.VerifyEngine(4, 6); err != nil {
+					t.Fatalf("after burst replay: engine divergence: %v", err)
+				}
+
+				// CompileFast semantics: forwarding outcomes with the fast
+				// band active must survive a from-scratch recompilation
+				// untouched.
+				before := Outcomes(b.Ctrl, 4, 6)
+				if err := DiffText("post-burst compile", a.Compile(), b.Compile()); err != nil {
+					t.Fatal(err)
+				}
+				if err := DiffOutcomes("fast-vs-full forwarding", before, Outcomes(b.Ctrl, 4, 6)); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.VerifyTables(); err != nil {
+					t.Fatalf("post-burst recompile: %v", err)
+				}
+				if err := b.VerifyEngine(4, 6); err != nil {
+					t.Fatalf("post-burst recompile: engine divergence: %v", err)
+				}
 			}
 
-			// Same trace content on both sides: instances are identical, so
-			// Trace() synthesizes identical event streams.
-			fastS := serial.Replay(serial.Trace(bursts*3, w.Seed+99))
-			fastP := par.Replay(par.Trace(bursts*3, w.Seed+99))
-			if fastS != fastP {
-				t.Fatalf("fast-band rules diverged: serial %d, parallel %d", fastS, fastP)
-			}
-			if err := DiffLines("burst rule stream", serial.Rules.Log(), par.Rules.Log()); err != nil {
+			grouped := Outcomes(b.Ctrl, 4, 6)
+			if err := DiffOutcomes("forwarding", Outcomes(a.Ctrl, 4, 6), grouped); err != nil {
 				t.Fatal(err)
 			}
-			if err := par.VerifyTables(); err != nil {
-				t.Fatalf("after burst replay: %v", err)
-			}
-			if err := par.VerifyEngine(4, 6); err != nil {
-				t.Fatalf("after burst replay: engine divergence: %v", err)
-			}
-
-			// CompileFast semantics: forwarding outcomes with the fast band
-			// active must survive a from-scratch recompilation untouched.
-			before := Outcomes(par.Ctrl, 4, 6)
-			cs = serial.Compile(true)
-			cp = par.Compile(false)
-			if err := DiffText("post-burst compile", cs, cp); err != nil {
+			b.Ctrl.Recompile(core.CompileNaiveDstIP())
+			if err := DiffOutcomes("grouped-vs-per-prefix forwarding", grouped, Outcomes(b.Ctrl, 4, 6)); err != nil {
 				t.Fatal(err)
 			}
-			after := Outcomes(par.Ctrl, 4, 6)
-			if err := DiffOutcomes("fast-vs-full forwarding", before, after); err != nil {
+			b.Ctrl.Recompile()
+			if err := DiffOutcomes("restored grouped forwarding", grouped, Outcomes(b.Ctrl, 4, 6)); err != nil {
 				t.Fatal(err)
-			}
-			if err := DiffOutcomes("forwarding", Outcomes(serial.Ctrl, 4, 6), after); err != nil {
-				t.Fatal(err)
-			}
-			if err := par.VerifyTables(); err != nil {
-				t.Fatalf("post-burst recompile: %v", err)
-			}
-			if err := par.VerifyEngine(4, 6); err != nil {
-				t.Fatalf("post-burst recompile: engine divergence: %v", err)
 			}
 		})
 	}

@@ -88,15 +88,15 @@ func TestAblationKnobsPreserveSemantics(t *testing.T) {
 	f := newFig1(t)
 	f.setFig1Policies(t)
 
-	check := func(opts core.CompileOptions) {
+	check := func(mode string, opts ...core.CompileOption) {
 		t.Helper()
-		f.ctrl.Recompile(core.WithCompileOptions(opts))
+		f.ctrl.Recompile(opts...)
 		got := f.sendAndExpect(t, f.a, tcp(ip("50.0.0.1"), ip("11.1.1.1"), 80), f.b1)
 		if got.DstMAC != core.PortMAC(2) {
-			t.Fatalf("opts %+v: dstmac %v", opts, got.DstMAC)
+			t.Fatalf("%s: dstmac %v", mode, got.DstMAC)
 		}
 		f.sendAndExpect(t, f.a, tcp(ip("50.0.0.1"), ip("11.1.1.1"), 22), f.c)
 	}
-	check(core.CompileOptions{DisableConcat: true})
-	check(core.CompileOptions{})
+	check("no-concat", core.CompileWithoutConcat())
+	check("full")
 }

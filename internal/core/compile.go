@@ -128,9 +128,9 @@ func (t *vnhTable) fresh() uint32 {
 	return uint32(vnh - VNHSubnet.Addr())
 }
 
-// CompileOptions tunes the pipeline for ablation studies (every option
+// compileOptions are the ablation knobs of one full pass (every option
 // off reproduces the paper's full design).
-type CompileOptions struct {
+type compileOptions struct {
 	// NaiveDstIP disables the §4.2 VNH/VMAC grouping: outbound policies
 	// and default forwarding are lowered to one rule per destination
 	// prefix, the naive compilation whose rule explosion motivates the
@@ -138,10 +138,6 @@ type CompileOptions struct {
 	NaiveDstIP bool
 	// DisableConcat forces cross-product parallel composition (§4.3.1).
 	DisableConcat bool
-	// Serial forces the single-threaded reference compiler instead of the
-	// worker-pool pipeline — the baseline the differential harness and
-	// the speedup benchmarks compare the parallel compiler against.
-	Serial bool
 }
 
 // compiler performs the §4 pipeline over a participant snapshot.
@@ -149,7 +145,7 @@ type compiler struct {
 	parts map[uint32]*Participant
 	view  RouteView
 	vnhs  *vnhTable
-	opts  CompileOptions
+	opts  compileOptions
 
 	// snap is this compiler's one reading of the Adj-RIB-In (materialize):
 	// it lives as long as the compiler does — one full pass, or one
@@ -261,11 +257,10 @@ func peerAS(r *bgp.Route) uint32 {
 	return r.PeerAS
 }
 
-// group runs the route-dependent front half of the pipeline, the same for
-// the serial and the parallel compiler: policy sets and default next hops
-// from one Adj-RIB-In reading, FEC grouping, and VNH assignment strictly
-// in group order (so both hand out identical indices). setGroups[si]
-// lists the groups making up input set si.
+// group runs the route-dependent front half of the pipeline: policy sets
+// and default next hops from one Adj-RIB-In reading, FEC grouping, and
+// VNH assignment strictly in group order. setGroups[si] lists the groups
+// making up input set si.
 func (c *compiler) group() (out *Compiled, owners []setOwner, sets [][]iputil.Prefix, setGroups [][]int) {
 	owners = c.setOwners()
 	sets = c.materialize(owners)
@@ -294,16 +289,17 @@ func (c *compiler) group() (out *Compiled, owners []setOwner, sets [][]iputil.Pr
 
 // Compile runs the full pipeline: policy sets, FEC grouping, VNH
 // assignment, the four policy transformations, and classifier generation.
+// Stage 2 and the two band heads compile concurrently on one shared
+// policy compiler.
 func (c *compiler) Compile() *Compiled {
 	out, owners, sets, setGroups := c.group()
-	comp := policy.NewCompiler()
-	comp.DisableConcat = c.opts.DisableConcat
-	c.assemble(out, owners, sets, setGroups, comp.Compile, false)
+	comp := &policy.Compiler{DisableConcat: c.opts.DisableConcat}
+	c.assemble(out, owners, sets, setGroups, comp.Compile, true)
 	return out
 }
 
 // assemble compiles the two bands of out, the one band assembly of the
-// serial, parallel and fast compilers: Band1 = stage1 >> stage2 over the
+// full and fast compilers: Band1 = stage1 >> stage2 over the
 // input sets and Band2 = defaults >> stage2 over out's groups (§4.1). The
 // stage-2 classifier both bands share is compiled once per pass and
 // composed after each head with policy.Then. A band without a head stays
@@ -636,6 +632,6 @@ func (c *compiler) CompileFast(prefix iputil.Prefix) *Compiled {
 		sets[si] = []iputil.Prefix{prefix}
 		setGroups[si] = []int{0}
 	}
-	c.assemble(out, owners, sets, setGroups, policy.NewCompiler().Compile, false)
+	c.assemble(out, owners, sets, setGroups, new(policy.Compiler).Compile, false)
 	return out
 }

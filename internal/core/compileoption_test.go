@@ -35,36 +35,25 @@ func TestCompilePolicyOption(t *testing.T) {
 	if got := f.ctrl.Metrics().Counter("controller.full_compiles").Value(); got != compiles {
 		t.Fatalf("failed pass ran a compile: %d -> %d", compiles, got)
 	}
-}
 
-// TestCompileSerialOptionMatchesParallel pins the serial reference path
-// behind the new option form to the parallel pipeline's output.
-func TestCompileSerialOptionMatchesParallel(t *testing.T) {
-	f := newFig1(t)
-	f.setFig1Policies(t)
-
-	f.ctrl.Recompile(core.CompileSerial())
-	serial := f.ctrl.Compiled().Canonical()
-	f.ctrl.Recompile()
-	if parallel := f.ctrl.Compiled().Canonical(); parallel != serial {
-		t.Fatal("serial option and parallel default disagree")
+	// A refused change refuses the whole call: the valid policy before it
+	// must not be installed either.
+	canon := f.ctrl.Compiled().Canonical()
+	mixed := f.ctrl.Recompile(
+		core.CompilePolicy(asA, nil, []core.Term{core.Fwd(pkt.MatchAll.DstPort(443), asC)}),
+		core.CompilePolicy(9999, nil, nil),
+	)
+	if mixed.Err == nil || !strings.Contains(mixed.Err.Error(), "unknown participant") {
+		t.Fatalf("unknown AS in a mixed call should fail validation, got err=%v", mixed.Err)
 	}
-}
-
-// TestWithCompileOptionsMatchesIndividualOptions pins the struct-bridge
-// form (used by ablation tables) to the equivalent individual options.
-func TestWithCompileOptionsMatchesIndividualOptions(t *testing.T) {
-	f := newFig1(t)
-	f.setFig1Policies(t)
-
-	viaStruct := f.ctrl.Recompile(core.WithCompileOptions(core.CompileOptions{Serial: true}))
-	viaOption := f.ctrl.Recompile(core.CompileSerial())
-	if viaStruct.Rules != viaOption.Rules || viaStruct.Groups != viaOption.Groups {
-		t.Fatalf("struct bridge and option form disagree: %+v vs %+v", viaStruct, viaOption)
+	if f.ctrl.Dirty() {
+		t.Fatal("refused call left the controller dirty: a policy was installed")
 	}
-	structCanon := f.ctrl.Compiled().Canonical()
-	f.ctrl.Recompile(core.CompileSerial())
-	if f.ctrl.Compiled().Canonical() != structCanon {
-		t.Fatal("struct bridge and option form compile different tables")
+	if rep := f.ctrl.Recompile(); rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
+	if got := f.ctrl.Compiled().Canonical(); got != canon {
+		t.Fatal("refused call changed the compiled policy")
+	}
+	f.sendAndExpect(t, f.a, tcp(ip("50.0.0.1"), ip("11.1.1.1"), 80), f.b1)
 }

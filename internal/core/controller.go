@@ -12,7 +12,6 @@ import (
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
-	"sdx/internal/policy"
 	"sdx/internal/rs"
 	"sdx/internal/telemetry"
 )
@@ -59,10 +58,9 @@ type CompileReport struct {
 	Band2    int
 	Elapsed  time.Duration
 	VNHCount int
-	Workers  int // compile pool size (1 for the serial baseline)
 
 	// Err is non-nil when a CompilePolicy option failed validation; the
-	// pass was aborted and no compilation ran.
+	// pass was aborted, no policy was installed and no compilation ran.
 	Err error
 }
 
@@ -77,12 +75,6 @@ type Controller struct {
 	arpd  *arp.Responder
 	parts map[uint32]*Participant
 	vnhs  *vnhTable
-
-	// pcomp is the persistent parallel policy compiler; its work
-	// counters are zeroed (Reset) at the start of every full
-	// recompilation. compileWorkers bounds its pool (0 = GOMAXPROCS).
-	pcomp          *policy.ParallelCompiler
-	compileWorkers int
 
 	cur        *Compiled
 	fastPrefix map[iputil.Prefix]uint32 // fast-band VNH index per prefix
@@ -136,13 +128,6 @@ type RuleSink interface {
 // WithRuleMirror registers a rule sink. Several sinks may be registered.
 func WithRuleMirror(sink RuleSink) Option {
 	return func(c *Controller) { c.mirrors = append(c.mirrors, sink) }
-}
-
-// WithCompileWorkers bounds the policy compiler's worker pool. Zero (the
-// default) uses GOMAXPROCS; one keeps the pool but compiles with a single
-// worker.
-func WithCompileWorkers(n int) Option {
-	return func(c *Controller) { c.compileWorkers = n }
 }
 
 // WithRouteAgeOut sets how long a participant's routes survive after its
@@ -243,7 +228,6 @@ func NewController(opts ...Option) *Controller {
 	// The route server is created after the options run so it publishes
 	// into whichever registry was injected.
 	c.rs = rs.New(rs.WithMetrics(c.metrics))
-	c.pcomp = policy.NewParallelCompiler(c.compileWorkers)
 	c.initTelemetry()
 	c.sw.PacketIn = c.normalForward
 	return c
@@ -402,35 +386,50 @@ func (c *Controller) flushPeerRoutesLocked(as uint32) {
 func (c *Controller) SetPolicy(as uint32, inbound, outbound []Term) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	p, err := c.validatePolicyLocked(as, inbound, outbound)
+	if err != nil {
+		return err
+	}
+	c.installPolicyLocked(p, inbound, outbound)
+	return nil
+}
+
+// validatePolicyLocked checks a policy for participant as without
+// installing it, returning the participant it would apply to.
+func (c *Controller) validatePolicyLocked(as uint32, inbound, outbound []Term) (*Participant, error) {
 	p, ok := c.parts[as]
 	if !ok {
-		return fmt.Errorf("core: unknown participant AS%d", as)
+		return nil, fmt.Errorf("core: unknown participant AS%d", as)
 	}
 	for _, t := range inbound {
 		if err := p.validateTerm(t, true); err != nil {
-			return err
+			return nil, err
 		}
 		if _, set := t.Match.GetInPort(); set {
-			return fmt.Errorf("core: policy matches must not constrain inport")
+			return nil, fmt.Errorf("core: policy matches must not constrain inport")
 		}
 	}
 	for _, t := range outbound {
 		if err := p.validateTerm(t, false); err != nil {
-			return err
+			return nil, err
 		}
 		if _, set := t.Match.GetInPort(); set {
-			return fmt.Errorf("core: policy matches must not constrain inport")
+			return nil, fmt.Errorf("core: policy matches must not constrain inport")
 		}
 		if t.Action.ToParticipant != 0 {
 			if _, ok := c.parts[t.Action.ToParticipant]; !ok {
-				return fmt.Errorf("core: outbound term targets unknown AS%d", t.Action.ToParticipant)
+				return nil, fmt.Errorf("core: outbound term targets unknown AS%d", t.Action.ToParticipant)
 			}
 		}
 	}
+	return p, nil
+}
+
+// installPolicyLocked replaces p's policy with a validated one.
+func (c *Controller) installPolicyLocked(p *Participant, inbound, outbound []Term) {
 	p.inbound = append([]Term(nil), inbound...)
 	p.outbound = append([]Term(nil), outbound...)
 	c.dirty = true
-	return nil
 }
 
 // AnnouncePrefix originates a BGP route for prefix on behalf of a
@@ -666,50 +665,40 @@ func (c *Controller) StartOptimizer(interval time.Duration) (stop func()) {
 	}
 }
 
+// compileMode is the Detail of a full pass's EventCompileStarted and
+// EventCompileDone.
+const compileMode = "full"
+
 // Recompile runs the full optimization pass: FEC grouping, policy
 // compilation, atomic band swap, fast-band garbage collection, and
 // re-advertisement of exactly the prefixes whose advertised next hop moved
 // (movedNextHops) — a pass that changes no next hop advertises nothing.
-// Options select ablation knobs (CompileSerial, CompileNaiveDstIP, ...) or
-// fold in a policy change first (CompilePolicy); with no options it runs
-// the paper's full design.
+// Options select ablation knobs (CompileNaiveDstIP, CompileWithoutConcat)
+// or fold in policy changes first (CompilePolicy), under the same lock
+// hold as the pass; with no options it runs the paper's full design.
 func (c *Controller) Recompile(options ...CompileOption) CompileReport {
 	var cfg compileConfig
 	for _, o := range options {
 		o(&cfg)
 	}
-	for _, pc := range cfg.policies {
-		if err := c.SetPolicy(pc.as, pc.inbound, pc.outbound); err != nil {
-			return CompileReport{Err: err}
-		}
-	}
-	return c.recompile(cfg.opts)
-}
-
-// recompile is the full pass with resolved options.
-func (c *Controller) recompile(opts CompileOptions) CompileReport {
 	t := telemetry.StartTimer(c.m.compileNS)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	mode := "parallel"
-	if opts.Serial {
-		mode = "serial"
+	for _, pc := range cfg.policies {
+		if _, err := c.validatePolicyLocked(pc.as, pc.inbound, pc.outbound); err != nil {
+			return CompileReport{Err: err}
+		}
 	}
-	c.m.fullCompiles.Inc()
-	c.tracer.Emit(telemetry.EventCompileStarted, 0, mode, 0)
+	for _, pc := range cfg.policies {
+		c.installPolicyLocked(c.parts[pc.as], pc.inbound, pc.outbound)
+	}
 
-	comp := &compiler{parts: c.parts, view: c.rs, vnhs: c.vnhs, opts: opts}
-	var compiled *Compiled
-	workers := 1
-	if opts.Serial {
-		compiled = comp.Compile()
-	} else {
-		c.pcomp.Reset()
-		compiled = comp.CompileParallel(c.pcomp)
-		workers = c.pcomp.Workers()
-		c.m.busyNS.Add(c.pcomp.Stats().BusyNS)
-	}
+	c.m.fullCompiles.Inc()
+	c.tracer.Emit(telemetry.EventCompileStarted, 0, compileMode, 0)
+
+	comp := &compiler{parts: c.parts, view: c.rs, vnhs: c.vnhs, opts: cfg.opts}
+	compiled := comp.Compile()
 
 	band1 := dataplane.EntriesFromClassifier(compiled.Band1, band1Base, cookieBand1)
 	band2 := dataplane.EntriesFromClassifier(compiled.Band2, band2Base, cookieBand2)
@@ -748,7 +737,6 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 		Band2:    len(compiled.Band2),
 		Elapsed:  t.Stop(),
 		VNHCount: c.vnhs.alloc.Allocated(),
-		Workers:  workers,
 	}
 	c.m.rulesInstalled.Add(int64(rep.Rules))
 	c.m.groups.Set(int64(rep.Groups))
@@ -757,7 +745,7 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 	c.m.vnhsAllocated.Set(int64(rep.VNHCount))
 	c.tracer.Emit(telemetry.EventRuleInstalled, 0, "band1", int64(rep.Band1))
 	c.tracer.Emit(telemetry.EventRuleInstalled, 0, "band2", int64(rep.Band2))
-	c.tracer.Emit(telemetry.EventCompileDone, 0, mode, int64(rep.Rules))
+	c.tracer.Emit(telemetry.EventCompileDone, 0, compileMode, int64(rep.Rules))
 	return rep
 }
 

@@ -167,22 +167,15 @@ func mustAddr(t *testing.T, s string) iputil.Addr {
 	return a
 }
 
-// TestGoldenClassifiers compiles each fixed topology with the serial
-// reference compiler and with the parallel pipeline, and requires both
-// canonical dumps to match the pinned golden file exactly. Run with
+// TestGoldenClassifiers compiles each fixed topology and requires its
+// canonical dump to match the pinned golden file exactly. Run with
 // -update to rewrite the files after a deliberate compiler change.
 func TestGoldenClassifiers(t *testing.T) {
 	for _, tc := range goldenTopologies {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := tc.build(t)
-			serial.Recompile(core.CompileSerial())
-			got := serial.Compiled().Canonical()
-
-			parallel := tc.build(t)
-			parallel.Recompile()
-			if par := parallel.Compiled().Canonical(); par != got {
-				t.Fatalf("parallel canonical form differs from serial:\n%s", firstDiff(got, par))
-			}
+			ctrl := tc.build(t)
+			ctrl.Recompile()
+			got := ctrl.Compiled().Canonical()
 
 			path := filepath.Join("testdata", "golden_"+tc.name+".txt")
 			if *updateGolden {

@@ -8,7 +8,6 @@ import (
 	"sdx/internal/bgp"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
-	"sdx/internal/policy"
 	"sdx/internal/rs"
 )
 
@@ -31,7 +30,7 @@ func (v *countingView) GlobalBest(p iputil.Prefix) *bgp.Route {
 
 // TestFullCompileReadsRIBOnce guards the O(routes) full pass: however many
 // outbound terms, synthetic sets and deliver terms an exchange has, a full
-// compile — serial or parallel — materializes its sets in one RouteSets
+// compile materializes its sets in one RouteSets
 // call and never asks for a per-prefix GlobalBest.
 func TestFullCompileReadsRIBOnce(t *testing.T) {
 	for _, terms := range []int{1, 6, 40} {
@@ -60,24 +59,17 @@ func TestFullCompileReadsRIBOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, parallel := range []bool{false, true} {
-			view := &countingView{RouteView: ctrl.rs}
-			comp := &compiler{parts: ctrl.parts, view: view, vnhs: newVNHTable()}
-			var out *Compiled
-			if parallel {
-				out = comp.CompileParallel(policy.NewParallelCompiler(2))
-			} else {
-				out = comp.Compile()
-			}
-			if len(out.Groups) == 0 || len(out.Band1) == 0 {
-				t.Fatalf("terms=%d parallel=%v: trivial compile (%d groups, %d band-1 rules)", terms, parallel, len(out.Groups), len(out.Band1))
-			}
-			if view.queries < n*terms {
-				t.Fatalf("terms=%d parallel=%v: %d set queries for %d outbound terms", terms, parallel, view.queries, n*terms)
-			}
-			if view.sets != 1 || view.best != 0 {
-				t.Fatalf("terms=%d parallel=%v: %d RouteSets calls (want 1), %d GlobalBest calls (want 0)", terms, parallel, view.sets, view.best)
-			}
+		view := &countingView{RouteView: ctrl.rs}
+		comp := &compiler{parts: ctrl.parts, view: view, vnhs: newVNHTable()}
+		out := comp.Compile()
+		if len(out.Groups) == 0 || len(out.Band1) == 0 {
+			t.Fatalf("terms=%d: trivial compile (%d groups, %d band-1 rules)", terms, len(out.Groups), len(out.Band1))
+		}
+		if view.queries < n*terms {
+			t.Fatalf("terms=%d: %d set queries for %d outbound terms", terms, view.queries, n*terms)
+		}
+		if view.sets != 1 || view.best != 0 {
+			t.Fatalf("terms=%d: %d RouteSets calls (want 1), %d GlobalBest calls (want 0)", terms, view.sets, view.best)
 		}
 	}
 }

@@ -39,8 +39,6 @@ type ctrlMetrics struct {
 	rulesInstalled *telemetry.Counter // controller.rules_installed
 	arpReplies     *telemetry.Counter // controller.arp_replies
 
-	busyNS *telemetry.Counter // compiler.busy_ns
-
 	groups        *telemetry.Gauge // controller.groups
 	band1         *telemetry.Gauge // controller.rules_band1
 	band2         *telemetry.Gauge // controller.rules_band2
@@ -49,7 +47,7 @@ type ctrlMetrics struct {
 
 // initTelemetry resolves the metric handles and registers snapshot-time
 // size gauges for structures that already track their own sizes. Called
-// once from NewController, after c.metrics, c.sw and c.pcomp exist.
+// once from NewController, after c.metrics and c.sw exist.
 func (c *Controller) initTelemetry() {
 	reg := c.metrics
 	//lint:ignore riblock one-time init called from NewController before the controller is shared
@@ -63,13 +61,12 @@ func (c *Controller) initTelemetry() {
 		compileNS:      reg.Histogram("controller.compile_ns"),
 		rulesInstalled: reg.Counter("controller.rules_installed"),
 		arpReplies:     reg.Counter("controller.arp_replies"),
-		busyNS:         reg.Counter("compiler.busy_ns"),
 		groups:         reg.Gauge("controller.groups"),
 		band1:          reg.Gauge("controller.rules_band1"),
 		band2:          reg.Gauge("controller.rules_band2"),
 		vnhsAllocated:  reg.Gauge("controller.vnhs_allocated"),
 	}
-	sw, pcomp := c.sw, c.pcomp
+	sw := c.sw
 	reg.RegisterGaugeFunc("dataplane.rules", func() int64 {
 		return int64(sw.Table().Len())
 	})
@@ -93,9 +90,6 @@ func (c *Controller) initTelemetry() {
 	})
 	reg.RegisterGaugeFunc("dataplane.engine_builds", func() int64 {
 		return int64(sw.Table().EngineBuilds())
-	})
-	reg.RegisterGaugeFunc("compiler.workers", func() int64 {
-		return int64(pcomp.Workers())
 	})
 	reg.RegisterGaugeFunc("controller.fast_rules", func() int64 {
 		return int64(c.FastRules())

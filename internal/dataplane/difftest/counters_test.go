@@ -89,7 +89,7 @@ func TestCounterMonotonicityProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Compile(false)
+			in.Compile()
 			table := in.Ctrl.Switch().Table()
 			gen := trafficgen.NewPacketGen(int64(i)*17+5, trafficgen.PoolsFromEntries(table.Entries()))
 			stream := make([]pkt.Packet, 200)

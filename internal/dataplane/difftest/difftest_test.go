@@ -14,7 +14,7 @@ import (
 
 // TestCorpusDifferential replays seeded traffic against the flow table
 // of every workload in the standard 200-case compiletest corpus: each
-// case is built, compiled through the parallel pipeline, and checked
+// case is built, compiled, and checked
 // compiled-vs-naive over a table-derived packet stream; cases with BGP
 // bursts replay their update trace through the incremental path and are
 // checked again, so megaflow invalidation across CompileFast mutations
@@ -27,7 +27,7 @@ func TestCorpusDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Compile(false)
+			in.Compile()
 			table := in.Ctrl.Switch().Table()
 			st, err := RunTable(table, int64(i)*13+1, 300)
 			if err != nil {

@@ -26,23 +26,23 @@ type AblationRow struct {
 // the pipeline shares, stage 2, is compiled once per pass by
 // construction.
 func Ablation(participants, groups int, seed int64) ([]AblationRow, error) {
-	ctrl, _, err := buildGroupedExchange(participants, groups, seed)
+	ctrl, _, err := NewGroupedExchange(participants, groups, seed)
 	if err != nil {
 		return nil, err
 	}
 	modes := []struct {
 		name string
-		opts core.CompileOptions
+		opts []core.CompileOption
 	}{
-		{"full", core.CompileOptions{}},
-		{"no-vnh", core.CompileOptions{NaiveDstIP: true}},
-		{"no-concat", core.CompileOptions{DisableConcat: true}},
+		{"full", nil},
+		{"no-vnh", []core.CompileOption{core.CompileNaiveDstIP()}},
+		{"no-concat", []core.CompileOption{core.CompileWithoutConcat()}},
 	}
 	var rows []AblationRow
 	for _, m := range modes {
 		// Two passes per mode; keep the faster one (allocator warm-up).
-		rep := ctrl.Recompile(core.WithCompileOptions(m.opts))
-		rep2 := ctrl.Recompile(core.WithCompileOptions(m.opts))
+		rep := ctrl.Recompile(m.opts...)
+		rep2 := ctrl.Recompile(m.opts...)
 		if rep2.Elapsed < rep.Elapsed {
 			rep = rep2
 		}

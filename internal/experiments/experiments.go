@@ -156,10 +156,11 @@ type Fig78Point struct {
 	VNHCompute   time.Duration // included in CompileTime; grouping only
 }
 
-// buildGroupedExchange loads an IXP and installs the §6.1 policy mix plus
+// NewGroupedExchange loads an IXP and installs the §6.1 policy mix plus
 // exactly `groups` single-prefix outbound terms so that the compiled
-// exchange has a controlled number of prefix groups.
-func buildGroupedExchange(participants, groups int, seed int64) (*core.Controller, *workload.IXP, error) {
+// exchange has a controlled number of prefix groups: the workload behind
+// the Fig 7–10 experiments, the ablation table and the benchmarks.
+func NewGroupedExchange(participants, groups int, seed int64) (*core.Controller, *workload.IXP, error) {
 	prefixes := groups * 2
 	if prefixes < 1000 {
 		prefixes = 1000
@@ -236,7 +237,7 @@ func Fig78(participants []int, groupSteps []int, seed int64) ([]Fig78Point, erro
 	var out []Fig78Point
 	for _, n := range participants {
 		for _, g := range groupSteps {
-			ctrl, _, err := buildGroupedExchange(n, g, seed)
+			ctrl, _, err := NewGroupedExchange(n, g, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -274,7 +275,7 @@ type Fig9Point struct {
 func Fig9(participants []int, burstSizes []int, groups int, seed int64) ([]Fig9Point, error) {
 	var out []Fig9Point
 	for _, n := range participants {
-		ctrl, x, err := buildGroupedExchange(n, groups, seed)
+		ctrl, x, err := NewGroupedExchange(n, groups, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -334,7 +335,7 @@ func (r *Fig10Result) Percentile(p float64) time.Duration {
 func Fig10(participants []int, updates, groups int, seed int64) ([]Fig10Result, error) {
 	var out []Fig10Result
 	for _, n := range participants {
-		ctrl, x, err := buildGroupedExchange(n, groups, seed)
+		ctrl, x, err := NewGroupedExchange(n, groups, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -6,32 +6,18 @@ import (
 	"sdx/internal/pkt"
 )
 
-// CompileStats counts the work a compilation performed; the SDX evaluation
-// (§6.3) reports these alongside wall-clock time.
-type CompileStats struct {
-	SeqOps int   // sequential composition operations
-	ParOps int   // parallel composition operations
-	BusyNS int64 // pool-worker busy time (parallel compiler only)
-}
-
 // Compiler translates policies to classifiers, one node at a time, on the
-// calling goroutine — the reference the parallel compiler is checked
-// against. It keeps no classifier between calls: a sub-classifier that
-// several compositions share is compiled once by the caller and composed
-// with Then.
+// calling goroutine. It keeps no classifier between calls: a
+// sub-classifier that several compositions share is compiled once by the
+// caller and composed with Then.
 //
-// The zero value is ready to use. A Compiler is not safe for concurrent
-// use.
+// The zero value is ready to use. Compile only reads the Compiler, so one
+// Compiler is safe for concurrent Compile calls.
 type Compiler struct {
-	Stats CompileStats
-
 	// DisableConcat forces full cross-product parallel composition even
 	// for disjoint guarded policies (§4.3.1 ablation).
 	DisableConcat bool
 }
-
-// NewCompiler returns a compiler with zeroed statistics.
-func NewCompiler() *Compiler { return &Compiler{} }
 
 // Compile translates a policy into an equivalent total classifier.
 func (c *Compiler) Compile(p Policy) Classifier {
@@ -56,8 +42,6 @@ func (c *Compiler) Compile(p Policy) Classifier {
 		panic(fmt.Sprintf("policy: unknown node type %T", p))
 	}
 }
-
-// Leaf translations shared by the serial and parallel compilers.
 
 func compileFilter(n *Filter) Classifier {
 	cl := make(Classifier, 0, len(n.Union)+1)
@@ -94,7 +78,6 @@ func (c *Compiler) compileParallel(ps []Policy) Classifier {
 	}
 	acc := sub[0]
 	for _, s := range sub[1:] {
-		c.Stats.ParOps++
 		acc = parallelCompose(acc, s)
 	}
 	return acc
@@ -106,7 +89,6 @@ func (c *Compiler) compileSequential(ps []Policy) Classifier {
 	}
 	acc := c.Compile(ps[0])
 	for _, p := range ps[1:] {
-		c.Stats.SeqOps++
 		acc = Then(acc, c.Compile(p))
 	}
 	return acc
@@ -120,13 +102,6 @@ func (c *Compiler) compileIf(n *If) Classifier {
 	pred := c.Compile(n.Pred)
 	thenC := c.Compile(n.Then)
 	elseC := c.Compile(n.Else)
-	return composeIf(pred, thenC, elseC)
-}
-
-// composeIf crosses a predicate classifier's pass-regions with the then-
-// classifier and its drop-regions with the else-classifier, in priority
-// order (shared by the serial and parallel compilers).
-func composeIf(pred, thenC, elseC Classifier) Classifier {
 	var out Classifier
 	for _, pr := range pred {
 		branch := elseC

@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sdx/internal/iputil"
@@ -31,7 +33,7 @@ func TestAppSpecificPeeringExample(t *testing.T) {
 		Seq(Match(pkt.MatchAll.DstPort(80)), FwdTo(linkAB)),
 		Seq(Match(pkt.MatchAll.DstPort(443)), FwdTo(linkAC)),
 	)
-	c := NewCompiler().Compile(polA)
+	c := new(Compiler).Compile(polA)
 
 	web := pkt.Packet{DstPort: 80}
 	if out := c.Eval(web); len(out) != 1 || out[0].InPort != linkAB {
@@ -57,7 +59,7 @@ func TestCrossProductExample(t *testing.T) {
 		Seq(Match(pkt.MatchAll.InPort(linkAB).SrcIP(pfx("0.0.0.0/1"))), FwdTo(portB1)),
 		Seq(Match(pkt.MatchAll.InPort(linkAB).SrcIP(pfx("128.0.0.0/1"))), FwdTo(portB2)),
 	)
-	c := NewCompiler().Compile(Seq(pa, pb))
+	c := new(Compiler).Compile(Seq(pa, pb))
 
 	low := pkt.Packet{InPort: portA1, DstPort: 80, SrcIP: iputil.MustParseAddr("1.2.3.4")}
 	if out := c.Eval(low); len(out) != 1 || out[0].InPort != portB1 {
@@ -88,7 +90,7 @@ func TestLoadBalanceExample(t *testing.T) {
 				Modify(pkt.NoMods.SetDstIP(iputil.MustParseAddr("74.125.137.139")))),
 		),
 	)
-	c := NewCompiler().Compile(lb)
+	c := new(Compiler).Compile(lb)
 
 	req := pkt.Packet{
 		SrcIP: iputil.MustParseAddr("96.25.160.55"),
@@ -116,7 +118,7 @@ func TestIfThenElse(t *testing.T) {
 		FwdTo(1),
 		FwdTo(2),
 	)
-	c := NewCompiler().Compile(p)
+	c := new(Compiler).Compile(p)
 	if out := c.Eval(pkt.Packet{DstPort: 80}); len(out) != 1 || out[0].InPort != 1 {
 		t.Fatalf("then branch: %v", out)
 	}
@@ -128,7 +130,7 @@ func TestIfThenElse(t *testing.T) {
 func TestIfWithUnionPredicate(t *testing.T) {
 	pred := Match(pkt.MatchAll.DstIP(pfx("10.0.0.0/8")), pkt.MatchAll.DstIP(pfx("20.0.0.0/8")))
 	p := IfThenElse(pred, FwdTo(1), FwdTo(2))
-	c := NewCompiler().Compile(p)
+	c := new(Compiler).Compile(p)
 	for _, tc := range []struct {
 		dst  string
 		want pkt.PortID
@@ -143,7 +145,7 @@ func TestIfWithUnionPredicate(t *testing.T) {
 }
 
 func TestEmptyFilterDropsAll(t *testing.T) {
-	c := NewCompiler().Compile(Match())
+	c := new(Compiler).Compile(Match())
 	if out := c.Eval(pkt.Packet{}); len(out) != 0 {
 		t.Fatalf("empty filter -> %v", out)
 	}
@@ -151,7 +153,7 @@ func TestEmptyFilterDropsAll(t *testing.T) {
 
 func TestMulticastCompiles(t *testing.T) {
 	p := Union(FwdTo(1), FwdTo(2))
-	c := NewCompiler().Compile(p)
+	c := new(Compiler).Compile(p)
 	out := c.Eval(pkt.Packet{})
 	if len(out) != 2 {
 		t.Fatalf("multicast -> %v", out)
@@ -165,7 +167,7 @@ func TestMulticastCompiles(t *testing.T) {
 func TestMulticastThenFilter(t *testing.T) {
 	// Multicast to two ports, then a filter that keeps only port 1.
 	p := Seq(Union(FwdTo(1), FwdTo(2)), Match(pkt.MatchAll.InPort(1)))
-	c := NewCompiler().Compile(p)
+	c := new(Compiler).Compile(p)
 	out := c.Eval(pkt.Packet{})
 	if len(out) != 1 || out[0].InPort != 1 {
 		t.Fatalf("multicast+filter -> %v", out)
@@ -175,13 +177,13 @@ func TestMulticastThenFilter(t *testing.T) {
 func TestSeqModThenMatch(t *testing.T) {
 	// mod(dstport:=80) >> match(dstport=80) >> fwd(9) passes everything.
 	p := Seq(Modify(pkt.NoMods.SetDstPort(80)), Match(pkt.MatchAll.DstPort(80)), FwdTo(9))
-	c := NewCompiler().Compile(p)
+	c := new(Compiler).Compile(p)
 	if out := c.Eval(pkt.Packet{DstPort: 22}); len(out) != 1 || out[0].InPort != 9 || out[0].DstPort != 80 {
 		t.Fatalf("mod-then-match -> %v", out)
 	}
 	// mod(dstport:=81) >> match(dstport=80) drops everything.
 	p = Seq(Modify(pkt.NoMods.SetDstPort(81)), Match(pkt.MatchAll.DstPort(80)), FwdTo(9))
-	c = NewCompiler().Compile(p)
+	c = new(Compiler).Compile(p)
 	if out := c.Eval(pkt.Packet{DstPort: 80}); len(out) != 0 {
 		t.Fatalf("conflicting mod should drop: %v", out)
 	}
@@ -288,7 +290,7 @@ func TestCompileAgainstInterpreter(t *testing.T) {
 	g := &polGen{r: rand.New(rand.NewSource(99))}
 	for trial := 0; trial < 400; trial++ {
 		p := g.policy(2 + g.r.Intn(2))
-		c := NewCompiler().Compile(p)
+		c := new(Compiler).Compile(p)
 		for probe := 0; probe < 100; probe++ {
 			in := g.packet()
 			want := p.Eval(in)
@@ -306,7 +308,7 @@ func TestCompileTotality(t *testing.T) {
 	g := &polGen{r: rand.New(rand.NewSource(123))}
 	for trial := 0; trial < 200; trial++ {
 		p := g.policy(2)
-		c := NewCompiler().Compile(p)
+		c := new(Compiler).Compile(p)
 		for probe := 0; probe < 50; probe++ {
 			in := g.packet()
 			found := false
@@ -330,13 +332,13 @@ func BenchmarkCompileAppSpecificPeering(b *testing.B) {
 	)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NewCompiler().Compile(polA)
+		new(Compiler).Compile(polA)
 	}
 }
 
 func BenchmarkClassifierEval(b *testing.B) {
 	g := &polGen{r: rand.New(rand.NewSource(1))}
-	c := NewCompiler().Compile(g.policy(3))
+	c := new(Compiler).Compile(g.policy(3))
 	in := g.packet()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -345,18 +347,12 @@ func BenchmarkClassifierEval(b *testing.B) {
 }
 
 // TestThenMatchesSeq: composing two separately compiled classifiers with
-// Then is rule-for-rule what either compiler makes of Seq(a, b) — the
+// Then is rule-for-rule what the compiler makes of Seq(a, b) — the
 // identity that lets the SDX pipeline compile the shared stage-2 policy
 // once per pass. Heads include Sequential, Parallel and If nodes.
 func TestThenMatchesSeq(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	compilers := []struct {
-		name    string
-		compile func(Policy) Classifier
-	}{
-		{"serial", func(p Policy) Classifier { return NewCompiler().Compile(p) }},
-		{"parallel", NewParallelCompiler(4).Compile},
-	}
+	var c Compiler
 	for trial := 0; trial < 200; trial++ {
 		leaves := randLeaves(r, 4+r.Intn(8))
 		sub := func() Policy { return randPolicy(r, 3, leaves) }
@@ -372,12 +368,177 @@ func TestThenMatchesSeq(t *testing.T) {
 			a = sub()
 		}
 		b := sub()
-		for _, c := range compilers {
-			want := c.compile(Seq(a, b))
-			got := Then(c.compile(a), c.compile(b))
-			if err := sameClassifier(want, got); err != nil {
-				t.Fatalf("trial %d (%s): %v\na: %s\nb: %s", trial, c.name, err, a, b)
+		want := c.Compile(Seq(a, b))
+		got := Then(c.Compile(a), c.Compile(b))
+		if err := sameClassifier(want, got); err != nil {
+			t.Fatalf("trial %d: %v\na: %s\nb: %s", trial, err, a, b)
+		}
+	}
+}
+
+// TestParallelMatchesSerial: goroutines sharing one Compiler, each
+// compiling the same random policies, get rule-for-rule the classifiers a
+// sequential run of the same Compiler produces — at several goroutine
+// counts, with and without disjoint concatenation. Run it under -race:
+// the SDX pipeline compiles stage 2 and both band heads concurrently on
+// one shared Compiler.
+func TestParallelMatchesSerial(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, mode := range []struct {
+			name     string
+			noConcat bool
+		}{
+			{name: "full"},
+			{name: "noconcat", noConcat: true},
+		} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, mode.name), func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(workers)*100 + 7))
+				ps := make([]Policy, 40)
+				for i := range ps {
+					ps[i] = randPolicy(r, 4, randLeaves(r, 5+r.Intn(10)))
+				}
+				c := &Compiler{DisableConcat: mode.noConcat}
+				want := make([]Classifier, len(ps))
+				for i, p := range ps {
+					want[i] = c.Compile(p)
+				}
+
+				got := make([][]Classifier, workers)
+				var wg sync.WaitGroup
+				for w := range got {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got[w] = make([]Classifier, len(ps))
+						for i, p := range ps {
+							got[w][i] = c.Compile(p)
+						}
+					}()
+				}
+				wg.Wait()
+				for w := range got {
+					for i := range ps {
+						if err := sameClassifier(want[i], got[w][i]); err != nil {
+							t.Fatalf("goroutine %d, policy %d: %v\npolicy: %s", w, i, err, ps[i])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestParallelConcurrentCompiles: the band-assembly pattern of the SDX
+// pipeline on one shared Compiler — a shared tail and several heads
+// compiled on their own goroutines, each head composed with the tail by
+// Then once both are ready — yields what compiling each Seq(head, tail)
+// sequentially yields. Run it under -race.
+func TestParallelConcurrentCompiles(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	leaves := randLeaves(r, 12)
+	shared := randPolicy(r, 3, leaves)
+	heads := make([]Policy, 8)
+	want := make([]Classifier, len(heads))
+	var seq Compiler
+	for i := range heads {
+		heads[i] = randPolicy(r, 3, leaves)
+		want[i] = seq.Compile(Seq(heads[i], shared))
+	}
+
+	var c Compiler
+	var tail Classifier
+	tailReady := make(chan struct{})
+	got := make([]Classifier, len(heads))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(tailReady)
+		tail = c.Compile(shared)
+	}()
+	for i := range heads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := c.Compile(heads[i])
+			<-tailReady
+			got[i] = Then(h, tail)
+		}()
+	}
+	wg.Wait()
+	for i := range heads {
+		if err := sameClassifier(want[i], got[i]); err != nil {
+			t.Fatalf("head %d: %v", i, err)
+		}
+	}
+}
+
+// randPolicy builds a random policy tree. Leaves are drawn from a shared
+// pool so identical nodes recur across branches, the way SDX policies
+// share idioms (§4.3.1).
+func randPolicy(r *rand.Rand, depth int, leaves []Policy) Policy {
+	if depth <= 0 || r.Intn(4) == 0 {
+		return leaves[r.Intn(len(leaves))]
+	}
+	n := 2 + r.Intn(3)
+	ps := make([]Policy, n)
+	for i := range ps {
+		ps[i] = randPolicy(r, depth-1, leaves)
+	}
+	switch r.Intn(3) {
+	case 0:
+		return Union(ps...)
+	case 1:
+		return Seq(ps[:2]...)
+	default:
+		pred := Match(pkt.MatchAll.DstPort(uint16(80 + r.Intn(4))))
+		return IfThenElse(pred, ps[0], ps[1])
+	}
+}
+
+func randLeaves(r *rand.Rand, n int) []Policy {
+	leaves := make([]Policy, 0, n)
+	for i := 0; i < n; i++ {
+		switch r.Intn(5) {
+		case 0:
+			leaves = append(leaves, FwdTo(pkt.PortID(1+r.Intn(6))))
+		case 1:
+			m := pkt.MatchAll.InPort(pkt.PortID(1 + r.Intn(4)))
+			if r.Intn(2) == 0 {
+				m = m.DstPort([]uint16{80, 443, 22}[r.Intn(3)])
+			}
+			leaves = append(leaves, Match(m))
+		case 2:
+			p := iputil.NewPrefix(iputil.Addr(r.Uint32()), uint8(8*(1+r.Intn(3))))
+			leaves = append(leaves, Match(pkt.MatchAll.DstIP(p)))
+		case 3:
+			leaves = append(leaves, Seq(
+				Match(pkt.MatchAll.InPort(pkt.PortID(1+r.Intn(4)))),
+				FwdTo(pkt.PortID(10+r.Intn(4))),
+			))
+		default:
+			leaves = append(leaves, Modify(pkt.NoMods.SetDstMAC(pkt.MAC(0xa2_00_00_00_00_00|uint64(r.Intn(8))))))
+		}
+	}
+	return leaves
+}
+
+func sameClassifier(a, b Classifier) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("rule count %d != %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Match != b[i].Match {
+			return fmt.Errorf("rule %d match %v != %v", i, a[i].Match, b[i].Match)
+		}
+		if len(a[i].Actions) != len(b[i].Actions) {
+			return fmt.Errorf("rule %d action count %d != %d", i, len(a[i].Actions), len(b[i].Actions))
+		}
+		for j := range a[i].Actions {
+			if a[i].Actions[j] != b[i].Actions[j] {
+				return fmt.Errorf("rule %d action %d %v != %v", i, j, a[i].Actions[j], b[i].Actions[j])
 			}
 		}
 	}
+	return nil
 }

@@ -299,7 +299,7 @@ func TestTracerRingWrap(t *testing.T) {
 
 func TestTracerPartialRing(t *testing.T) {
 	tr := NewTracer(8)
-	tr.Emit(EventCompileStarted, 0, "parallel", 0)
+	tr.Emit(EventCompileStarted, 0, "full", 0)
 	tr.Emit(EventCompileDone, 0, "", 42)
 	evs := tr.Events()
 	if len(evs) != 2 || evs[0].Seq != 1 || evs[1].Seq != 2 {

@@ -21,8 +21,7 @@ const (
 	// EventFECChanged: a prefix's forwarding-equivalence-class membership
 	// or virtual next hop changed. Detail = prefix.
 	EventFECChanged
-	// EventCompileStarted: a full recompilation began. Detail = compiler
-	// mode ("parallel", "serial", ...).
+	// EventCompileStarted: a full recompilation began. Detail = "full".
 	EventCompileStarted
 	// EventCompileDone: a full recompilation finished. Value = installed
 	// rules.

@@ -67,8 +67,6 @@ type (
 	// CompileReport summarizes a full compilation pass.
 	CompileReport = core.CompileReport
 
-	// CompileOptions selects compiler variants (serial baseline, ablations).
-	CompileOptions = core.CompileOptions
 	// CompileOption configures one Recompile pass (variadic-option form).
 	CompileOption = core.CompileOption
 	// Compiled is the output of a compilation pass.
@@ -137,16 +135,12 @@ const (
 	EventSessionStateChange = telemetry.EventSessionStateChange
 )
 
-// Recompile options (ctrl.Recompile(sdx.CompileSerial()), ...).
+// Recompile options (ctrl.Recompile(sdx.CompileNaiveDstIP()), ...).
 var (
-	// CompileSerial forces the single-threaded reference compiler.
-	CompileSerial = core.CompileSerial
 	// CompileNaiveDstIP disables VNH grouping (one rule per prefix).
 	CompileNaiveDstIP = core.CompileNaiveDstIP
 	// CompileWithoutConcat disables disjoint concatenation.
 	CompileWithoutConcat = core.CompileWithoutConcat
-	// WithCompileOptions applies a whole CompileOptions struct.
-	WithCompileOptions = core.WithCompileOptions
 	// CompilePolicy folds a policy install into a Recompile call.
 	CompilePolicy = core.CompilePolicy
 )
