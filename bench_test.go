@@ -200,6 +200,51 @@ func BenchmarkProcessUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessUpdateGrouped measures the fast path for announcements
+// that do touch policy: prefixes only the top announcer announces, on the
+// exchange of groupedRecompiler, where the viewer forwards by port towards
+// that announcer. Each such update compiles per-prefix rules through many
+// small Optimize calls, a cost BenchmarkProcessUpdate's prefix never pays.
+// The periodic recompile changes ns/op with b.N, so compare runs at one
+// fixed -benchtime.
+func BenchmarkProcessUpdateGrouped(b *testing.B) {
+	ctrl, x, _, recompile := groupedRecompiler(b)
+	recompile(0)
+	announcers := make(map[iputil.Prefix]int)
+	for i := range x.Participants {
+		for _, p := range x.Participants[i].Prefixes {
+			announcers[p]++
+		}
+	}
+	top := x.TopAnnouncers()[0]
+	var targets []iputil.Prefix
+	for _, p := range top.Prefixes {
+		if announcers[p] == 1 {
+			targets = append(targets, p)
+		}
+	}
+	update := func(i int) core.UpdateResult {
+		return ctrl.ProcessUpdate(top.AS, &bgp.Update{
+			Attrs: &bgp.PathAttrs{ASPath: []uint32{top.AS, uint32(900 + i%50)}, NextHop: iputil.Addr(top.AS)},
+			NLRI:  []iputil.Prefix{targets[i%len(targets)]},
+		})
+	}
+	if len(targets) == 0 || update(0).AffectedGroups == 0 {
+		b.Fatalf("no policy-touching prefix among %d targets", len(targets))
+	}
+	ctrl.Recompile()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update(i)
+		if i%200 == 199 {
+			b.StopTimer()
+			ctrl.Recompile()
+			b.StartTimer()
+		}
+	}
+}
+
 // BenchmarkRecompile measures the full optimization pass on a mid-size
 // exchange.
 func BenchmarkRecompile(b *testing.B) {
@@ -221,11 +266,12 @@ func BenchmarkRecompile(b *testing.B) {
 }
 
 // groupedRecompiler sets up the policy-dense 100×400 exchange that the
-// end-to-end benchmark's policy-recompile phase drives, and returns it with
-// the participant whose outbound policy alternates and a full pass that
-// installs policy i%2 of two towards the two top announcers. The two
-// policies key the same groups, so no pass moves a next hop.
-func groupedRecompiler(tb testing.TB) (ctrl *core.Controller, viewer uint32, recompile func(i int)) {
+// end-to-end benchmark's policy-recompile phase drives, and returns its
+// controller and IXP with the participant whose outbound policy
+// alternates and a full pass that installs policy i%2 of two towards the
+// two top announcers. The two policies key the same groups, so no pass
+// moves a next hop.
+func groupedRecompiler(tb testing.TB) (ctrl *core.Controller, x *workload.IXP, viewer uint32, recompile func(i int)) {
 	ctrl, x, err := experiments.NewGroupedExchange(100, 400, 1)
 	if err != nil {
 		tb.Fatal(err)
@@ -237,7 +283,7 @@ func groupedRecompiler(tb testing.TB) (ctrl *core.Controller, viewer uint32, rec
 		{core.Fwd(pkt.MatchAll.DstPort(80), wa), core.Fwd(pkt.MatchAll.DstPort(8080), wb)},
 		{core.Fwd(pkt.MatchAll.DstPort(443), wa), core.Fwd(pkt.MatchAll.DstPort(8443), wb)},
 	}
-	return ctrl, viewer, func(i int) {
+	return ctrl, x, viewer, func(i int) {
 		if rep := ctrl.Recompile(core.CompilePolicy(viewer, nil, policies[i%2])); rep.Err != nil || rep.Rules == 0 {
 			tb.Fatalf("recompile: %d rules, err %v", rep.Rules, rep.Err)
 		}
@@ -258,13 +304,14 @@ func liveHeapMB() float64 {
 // 0 is redundant advertisement. live-MB is the heap in use after the last
 // pass, with the controller alive.
 func BenchmarkRecompileGrouped(b *testing.B) {
-	ctrl, viewer, recompile := groupedRecompiler(b)
+	ctrl, _, viewer, recompile := groupedRecompiler(b)
 	adverts := 0
 	if _, err := ctrl.OnRoute(viewer, func(core.RouteAd) { adverts++ }); err != nil {
 		b.Fatal(err)
 	}
 	recompile(1)
 	adverts = 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recompile(i)

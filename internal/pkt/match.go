@@ -186,12 +186,12 @@ func (m Match) Overlaps(o Match) bool {
 
 // Covers reports whether every packet matching o also matches m.
 func (m Match) Covers(o Match) bool {
+	if m.present&^o.present != 0 {
+		return false // o is wider on some field m constrains
+	}
 	for f := Field(0); f < NumFields; f++ {
 		if !m.Has(f) {
 			continue
-		}
-		if !o.Has(f) {
-			return false // o is wider on this field
 		}
 		switch f {
 		case FSrcIP:

@@ -81,16 +81,27 @@ func (c Classifier) String() string {
 // single earlier rule can never be the first match. It also truncates
 // everything after the first wildcard-match rule (nothing below a total
 // rule is reachable). The result is semantically equivalent.
+//
+// Kept rules go into a pkt.CoverIndex, so each rule is checked only
+// against the kept rules that could cover it, not against all of them.
+// The index's chains live on the stack up to 32 rules, so the output is
+// the only allocation of a small Optimize, the common case on the
+// per-prefix fast path.
 func (c Classifier) Optimize() Classifier {
 	out := make(Classifier, 0, len(c))
-outer:
-	for _, r := range c {
-		for _, prev := range out {
-			if prev.Match.Covers(r.Match) {
-				continue outer
-			}
+	var buf [128]int32
+	idx := pkt.NewCoverIndex(len(c), buf[:], func(id int32) *pkt.Match { return &out[id].Match })
+	covered := false
+	found := func(int32) bool { covered = true; return false }
+	for i := range c {
+		r := &c[i]
+		idx.Find(&r.Match, found)
+		if covered {
+			covered = false
+			continue
 		}
-		out = append(out, r)
+		idx.Insert(&r.Match)
+		out = append(out, *r)
 		if r.Match.IsAll() {
 			break
 		}

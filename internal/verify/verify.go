@@ -214,72 +214,42 @@ func findConflicts(ordered []*dataplane.FlowEntry, rep *Report) {
 
 // findShadows flags entries fully covered by a single higher-precedence
 // entry of the same cookie. Pairs at equal priority with divergent
-// actions are already conflicts and are not double-reported.
+// actions are already conflicts and are not double-reported. Each cookie
+// keeps its earlier entries in a pkt.CoverIndex, so an entry is checked
+// only against those that could cover it.
 func findShadows(ordered []*dataplane.FlowEntry, rep *Report) {
-	// Candidate index: a rule covering r must constrain in-port and
-	// dst-MAC either not at all or to r's exact values, so bucketing prior
-	// rules by those two fields prunes the quadratic scan to the four
-	// buckets a rule can possibly be covered from.
-	type bucketKey struct {
-		hasPort bool
-		port    pkt.PortID
-		hasMAC  bool
-		mac     pkt.MAC
+	type band struct {
+		prior []*dataplane.FlowEntry
+		idx   pkt.CoverIndex
 	}
-	buckets := make(map[uint64]map[bucketKey][]*dataplane.FlowEntry)
-	keyFor := func(m pkt.Match, usePort, useMAC bool) bucketKey {
-		var k bucketKey
-		if usePort {
-			k.port, k.hasPort = m.GetInPort()
-		}
-		if useMAC {
-			k.mac, k.hasMAC = m.GetDstMAC()
-		}
-		return k
-	}
+	sizes := make(map[uint64]int)
 	for _, e := range ordered {
-		byKey := buckets[e.Cookie]
-		if byKey == nil {
-			byKey = make(map[bucketKey][]*dataplane.FlowEntry)
-			buckets[e.Cookie] = byKey
+		sizes[e.Cookie]++
+	}
+	bands := make(map[uint64]*band, len(sizes))
+	for _, e := range ordered {
+		b := bands[e.Cookie]
+		if b == nil {
+			b = &band{prior: make([]*dataplane.FlowEntry, 0, sizes[e.Cookie])}
+			b.idx = pkt.NewCoverIndex(sizes[e.Cookie], nil, func(id int32) *pkt.Match { return &b.prior[id].Match })
+			bands[e.Cookie] = b
 		}
-		// Check the four buckets that can hold a covering rule: each
-		// combination of "constrains the field to my value" / "leaves the
-		// field wild".
-		_, hasPort := e.Match.GetInPort()
-		_, hasMAC := e.Match.GetDstMAC()
-		for _, usePort := range boolsFor(hasPort) {
-			for _, useMAC := range boolsFor(hasMAC) {
-				for _, prev := range byKey[keyFor(e.Match, usePort, useMAC)] {
-					if !prev.Match.Covers(e.Match) {
-						continue
-					}
-					if prev.Priority == e.Priority && !sameActions(prev.Actions, e.Actions) {
-						continue // reported as a conflict
-					}
-					rep.add(Finding{
-						Kind:   KindShadow,
-						Rule:   describe(e),
-						Other:  describe(prev),
-						Detail: "rule is unreachable: fully covered by a higher-precedence rule of the same band",
-					})
-					goto next
-				}
+		b.idx.Find(&e.Match, func(id int32) bool {
+			prev := b.prior[id]
+			if prev.Priority == e.Priority && !sameActions(prev.Actions, e.Actions) {
+				return true // reported as a conflict
 			}
-		}
-	next:
-		byKey[keyFor(e.Match, true, true)] = append(byKey[keyFor(e.Match, true, true)], e)
+			rep.add(Finding{
+				Kind:   KindShadow,
+				Rule:   describe(e),
+				Other:  describe(prev),
+				Detail: "rule is unreachable: fully covered by a higher-precedence rule of the same band",
+			})
+			return false
+		})
+		b.idx.Insert(&e.Match)
+		b.prior = append(b.prior, e)
 	}
-}
-
-// boolsFor returns the candidate "does the covering rule constrain this
-// field" values: a wild field on the covered rule can only be covered by
-// a wild field.
-func boolsFor(has bool) []bool {
-	if has {
-		return []bool{true, false}
-	}
-	return []bool{false}
 }
 
 // sameActions compares action sets as unordered multisets: the dataplane

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -212,5 +213,53 @@ func TestShadowPruningStillExactAcrossFieldShapes(t *testing.T) {
 	})
 	if len(rep.Findings) != 1 || rep.Findings[0].Kind != KindShadow {
 		t.Fatalf("findings = %v, want one shadow", rep.Findings)
+	}
+}
+
+// TestShadowsMatchPairwiseScan: over random tables, the indexed shadow
+// check flags exactly the entries that a scan of every earlier entry of
+// the same cookie flags.
+func TestShadowsMatchPairwiseScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	prefixes := []iputil.Prefix{pfx("0.0.0.0/0"), pfx("10.0.0.0/8"), pfx("10.1.0.0/16"), pfx("10.1.2.0/24"), pfx("10.2.0.0/16")}
+	for trial := 0; trial < 100; trial++ {
+		es := make([]*dataplane.FlowEntry, 1+r.Intn(200))
+		for i := range es {
+			m := pkt.MatchAll
+			if r.Intn(4) > 0 {
+				m = m.DstIP(prefixes[r.Intn(len(prefixes))])
+			}
+			if r.Intn(2) == 0 {
+				m = m.InPort(pkt.PortID(r.Intn(3)))
+			}
+			if r.Intn(2) == 0 {
+				m = m.DstMAC(pkt.MAC(r.Intn(3)))
+			}
+			if r.Intn(3) == 0 {
+				m = m.DstPort(80)
+			}
+			es[i] = &dataplane.FlowEntry{Priority: r.Intn(4), Match: m, Actions: out(pkt.PortID(r.Intn(2))), Cookie: uint64(r.Intn(2))}
+		}
+		ordered := append([]*dataplane.FlowEntry(nil), es...)
+		dataplane.OrderEntries(ordered)
+		var want []string
+		for i, e := range ordered {
+			for _, prev := range ordered[:i] {
+				if prev.Cookie == e.Cookie && prev.Match.Covers(e.Match) &&
+					(prev.Priority != e.Priority || sameActions(prev.Actions, e.Actions)) {
+					want = append(want, describe(e))
+					break
+				}
+			}
+		}
+		var got []string
+		for _, f := range Entries(es).Findings {
+			if f.Kind == KindShadow {
+				got = append(got, f.Rule)
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("trial %d: shadows\n%s\nwant\n%s", trial, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // one pass (policy trees, intermediate classifiers, fast-band state)
 // outlives the next.
 func TestRecompileHeapBounded(t *testing.T) {
-	ctrl, _, recompile := groupedRecompiler(t)
+	ctrl, _, _, recompile := groupedRecompiler(t)
 	recompile(0)
 	runtime.GC()
 	first := liveHeapMB()
