@@ -78,8 +78,8 @@ type Controller struct {
 
 	cur        *Compiled
 	fastPrefix map[iputil.Prefix]uint32 // fast-band VNH index per prefix
-	fastRules  int
-	macToPort  map[pkt.MAC]pkt.PortID // NORMAL fallback table
+	fast       []*dataplane.FlowEntry   // live fast-band entries, in install order
+	macToPort  map[pkt.MAC]pkt.PortID   // NORMAL fallback table
 	sinks      map[uint32]map[int]func(RouteAd)
 	nextSinkID int
 	mirrors    []RuleSink
@@ -138,6 +138,14 @@ func WithRouteAgeOut(d time.Duration) Option {
 	return func(c *Controller) { c.routeAgeOut = d }
 }
 
+// RuleBarrier is an optional RuleSink extension: sinks that apply
+// operations asynchronously implement it, and Barrier returns once every
+// operation sent before it has been applied. A controller with such a
+// mirror retires fast-band entries make before break (see Recompile).
+type RuleBarrier interface {
+	Barrier() error
+}
+
 // RuleFlusher is an optional RuleSink extension: sinks that can clear
 // their whole table implement it, and AddRuleMirror flushes them before
 // replaying state so a resync starts from a known-empty table (stale
@@ -176,14 +184,8 @@ func (c *Controller) resyncLocked(sink RuleSink) {
 	}
 	sink.Replace(cookieBand1, dataplane.EntriesFromClassifier(c.cur.Band1, band1Base, cookieBand1))
 	sink.Replace(cookieBand2, dataplane.EntriesFromClassifier(c.cur.Band2, band2Base, cookieBand2))
-	var fast []*dataplane.FlowEntry
-	for _, e := range c.sw.Table().Entries() {
-		if e.Cookie == cookieFast {
-			fast = append(fast, e)
-		}
-	}
-	if len(fast) > 0 {
-		sink.AddBatch(fast)
+	if len(c.fast) > 0 {
+		sink.AddBatch(c.fast)
 	}
 }
 
@@ -564,7 +566,7 @@ func (c *Controller) handleEventsLocked(events []rs.Event) UpdateResult {
 		for _, m := range c.mirrors {
 			m.AddBatch(entries)
 		}
-		c.fastRules += len(entries)
+		c.fast = append(c.fast, entries...)
 		c.m.rulesInstalled.Add(int64(len(entries)))
 		c.tracer.Emit(telemetry.EventRuleInstalled, 0, "fast", int64(len(entries)))
 		res.AffectedGroups++
@@ -669,6 +671,16 @@ func (c *Controller) StartOptimizer(interval time.Duration) (stop func()) {
 // EventCompileDone.
 const compileMode = "full"
 
+// fastRetireGrace is how long a pass keeps the fast entries it retired
+// installed after re-advertising their prefixes: a border router goes on
+// tagging packets with a prefix's fast VMAC until it has processed the
+// re-advertisement. mirrorConfirmWait bounds the wait for mirrors to
+// confirm that the retired entries are gone.
+const (
+	fastRetireGrace   = 50 * time.Millisecond
+	mirrorConfirmWait = time.Second
+)
+
 // Recompile runs the full optimization pass: FEC grouping, policy
 // compilation, atomic band swap, fast-band garbage collection, and
 // re-advertisement of exactly the prefixes whose advertised next hop moved
@@ -676,6 +688,11 @@ const compileMode = "full"
 // Options select ablation knobs (CompileNaiveDstIP, CompileWithoutConcat)
 // or fold in policy changes first (CompilePolicy), under the same lock
 // hold as the pass; with no options it runs the paper's full design.
+//
+// When a mirror can confirm what it applied (RuleBarrier) — a remote
+// fabric switch — the pass removes the retired fast band make before
+// break (retireFastBand) and returns once it is gone. Otherwise it
+// deletes the band with the swap.
 func (c *Controller) Recompile(options ...CompileOption) CompileReport {
 	var cfg compileConfig
 	for _, o := range options {
@@ -683,11 +700,69 @@ func (c *Controller) Recompile(options ...CompileOption) CompileReport {
 	}
 	t := telemetry.StartTimer(c.m.compileNS)
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	rep, retiring := c.recompileLocked(cfg, t)
+	c.mu.Unlock()
+	if retiring {
+		c.retireFastBand()
+	}
+	return rep
+}
 
+// retireFastBand removes the fast entries the last pass retired. They
+// stay installed, locally and in every mirror, for fastRetireGrace after
+// the pass re-advertised their prefixes, so routers that still tag with a
+// fast VMAC keep forwarding. Then every mirror's fast band is set to the
+// live entries, and only once the confirming mirrors have applied that
+// does the local table follow: it never lacks a rule a mirror still
+// forwards on. The waits run without the controller lock, so updates
+// install their fast rules meanwhile; setting bands to exactly the live
+// entries keeps local and mirrors equal however passes overlap.
+func (c *Controller) retireFastBand() {
+	time.Sleep(fastRetireGrace)
+	c.mu.Lock()
+	var confirm []RuleBarrier
+	for _, m := range c.mirrors {
+		m.Replace(cookieFast, c.fast)
+		if b, ok := m.(RuleBarrier); ok {
+			confirm = append(confirm, b)
+		}
+	}
+	c.mu.Unlock()
+	c.awaitMirrors(confirm)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sw.Table().Replace(cookieFast, c.fast)
+	c.sw.Table().Precompile()
+}
+
+// awaitMirrors returns once every sink has confirmed the operations sent
+// to it so far, or after mirrorConfirmWait.
+func (c *Controller) awaitMirrors(sinks []RuleBarrier) {
+	done := make(chan error, len(sinks))
+	for _, s := range sinks {
+		go func() { done <- s.Barrier() }()
+	}
+	timeout := time.NewTimer(mirrorConfirmWait)
+	defer timeout.Stop()
+	for range sinks {
+		select {
+		case err := <-done:
+			if err != nil {
+				c.logf("core: mirror did not confirm the fast-band retirement: %v", err)
+			}
+		case <-timeout.C:
+			c.logf("core: mirror did not confirm the fast-band retirement within %v", mirrorConfirmWait)
+			return
+		}
+	}
+}
+
+// recompileLocked is the pass under c.mu. It reports whether it left the
+// retired fast band installed for retireFastBand to remove.
+func (c *Controller) recompileLocked(cfg compileConfig, t telemetry.Timer) (CompileReport, bool) {
 	for _, pc := range cfg.policies {
 		if _, err := c.validatePolicyLocked(pc.as, pc.inbound, pc.outbound); err != nil {
-			return CompileReport{Err: err}
+			return CompileReport{Err: err}, false
 		}
 	}
 	for _, pc := range cfg.policies {
@@ -704,13 +779,21 @@ func (c *Controller) Recompile(options ...CompileOption) CompileReport {
 	band2 := dataplane.EntriesFromClassifier(compiled.Band2, band2Base, cookieBand2)
 	c.sw.Table().Replace(cookieBand1, band1)
 	c.sw.Table().Replace(cookieBand2, band2)
-	c.sw.Table().DeleteCookie(cookieFast)
+	retiring := len(c.fast) > 0 && slices.ContainsFunc(c.mirrors, func(m RuleSink) bool {
+		_, ok := m.(RuleBarrier)
+		return ok
+	})
+	if !retiring {
+		c.sw.Table().DeleteCookie(cookieFast)
+	}
 	for _, m := range c.mirrors {
 		m.Replace(cookieBand1, band1)
 		m.Replace(cookieBand2, band2)
-		m.DeleteCookie(cookieFast)
+		if !retiring {
+			m.DeleteCookie(cookieFast)
+		}
 	}
-	c.fastRules = 0
+	c.fast = nil
 	prevFast := c.fastPrefix
 	c.fastPrefix = make(map[iputil.Prefix]uint32)
 
@@ -746,7 +829,7 @@ func (c *Controller) Recompile(options ...CompileOption) CompileReport {
 	c.tracer.Emit(telemetry.EventRuleInstalled, 0, "band1", int64(rep.Band1))
 	c.tracer.Emit(telemetry.EventRuleInstalled, 0, "band2", int64(rep.Band2))
 	c.tracer.Emit(telemetry.EventCompileDone, 0, compileMode, int64(rep.Rules))
-	return rep
+	return rep, retiring
 }
 
 // movedNextHops returns, sorted, the prefixes a full pass must advertise
@@ -797,7 +880,7 @@ func (c *Controller) Compiled() *Compiled {
 func (c *Controller) FastRules() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.fastRules
+	return len(c.fast)
 }
 
 // RoutesFor returns the participant's current route advertisements with

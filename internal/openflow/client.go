@@ -334,6 +334,10 @@ func (m Mirror) DeleteCookie(cookie uint64) { _ = m.C.Delete(cookie) }
 // remote table so a resync replay starts from a known-empty state.
 func (m Mirror) FlushAll() { _ = m.C.FlushAll() }
 
+// Barrier implements the controller's RuleBarrier: it returns once the
+// remote switch has applied every flow-mod sent before it.
+func (m Mirror) Barrier() error { return m.C.Barrier() }
+
 func cookieOf(entries []*dataplane.FlowEntry) uint64 {
 	if len(entries) == 0 {
 		return 0
