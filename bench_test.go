@@ -188,10 +188,10 @@ func BenchmarkProcessUpdate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctrl.ProcessUpdate(peer, &bgp.Update{
+		ctrl.ApplyBatch(PeerUpdate{From: peer, Update: &bgp.Update{
 			Attrs: &bgp.PathAttrs{ASPath: []uint32{peer, uint32(900 + i%50)}, NextHop: iputil.Addr(peer)},
 			NLRI:  []iputil.Prefix{prefix},
-		})
+		}})
 		if i%200 == 199 {
 			b.StopTimer()
 			ctrl.Recompile()
@@ -224,10 +224,10 @@ func BenchmarkProcessUpdateGrouped(b *testing.B) {
 		}
 	}
 	update := func(i int) core.UpdateResult {
-		return ctrl.ProcessUpdate(top.AS, &bgp.Update{
+		return ctrl.ApplyBatch(PeerUpdate{From: top.AS, Update: &bgp.Update{
 			Attrs: &bgp.PathAttrs{ASPath: []uint32{top.AS, uint32(900 + i%50)}, NextHop: iputil.Addr(top.AS)},
 			NLRI:  []iputil.Prefix{targets[i%len(targets)]},
-		})
+		}})
 	}
 	if len(targets) == 0 || update(0).AffectedGroups == 0 {
 		b.Fatalf("no policy-touching prefix among %d targets", len(targets))
@@ -357,10 +357,10 @@ func BenchmarkFabricForwarding(b *testing.B) {
 	ctrl := New()
 	ctrl.AddParticipant(ParticipantConfig{AS: 100, Name: "A", Ports: []PhysicalPort{{ID: 1}}})
 	ctrl.AddParticipant(ParticipantConfig{AS: 200, Name: "B", Ports: []PhysicalPort{{ID: 2}}})
-	ctrl.ProcessUpdate(200, &bgp.Update{
+	ctrl.ApplyBatch(PeerUpdate{From: 200, Update: &bgp.Update{
 		Attrs: &bgp.PathAttrs{ASPath: []uint32{200}, NextHop: iputil.Addr(PortIP(2))},
 		NLRI:  []iputil.Prefix{MustParsePrefix("20.0.0.0/8")},
-	})
+	}})
 	ctrl.Recompile(CompilePolicy(100, nil, []Term{Fwd(MatchAll.DstPort(80), 200)}))
 	comp := ctrl.Compiled()
 	if len(comp.VMACs) == 0 {

@@ -52,20 +52,24 @@ func (s *BGPServer) UseIngestQueue(q *UpdateQueue) {
 	s.queue = q
 }
 
+// ingestQueue returns the configured ingestion queue, or nil.
+func (s *BGPServer) ingestQueue() *UpdateQueue {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queue
+}
+
 // ingest applies one received UPDATE: through the queue when configured,
 // synchronously otherwise.
 func (s *BGPServer) ingest(from uint32, u *bgp.Update) {
-	s.mu.Lock()
-	q := s.queue
-	s.mu.Unlock()
-	if q != nil {
+	if q := s.ingestQueue(); q != nil {
 		if err := q.Enqueue(from, u); err == nil {
 			return
 		}
 		// Queue stopped under us: fall back to the synchronous path so
 		// late in-flight updates are not dropped.
 	}
-	s.ctrl.ApplyUpdates(from, u)
+	s.ctrl.ApplyBatch(PeerUpdate{From: from, Update: u})
 }
 
 // ListenBGP starts a route-server endpoint on addr (e.g. "127.0.0.1:0").
@@ -228,7 +232,12 @@ func (s *BGPServer) handle(conn net.Conn) {
 
 	// A fresh session is a full table exchange (RFC 4271 §8): whatever the
 	// peer's previous incarnation left in the Adj-RIB-In is flushed, and
-	// the peer re-announces over this session.
+	// the peer re-announces over this session. Updates the previous
+	// session left in the ingestion queue are applied first, so the flush
+	// replaces them rather than letting them drain in afterwards.
+	if q := s.ingestQueue(); q != nil {
+		q.Flush()
+	}
 	s.ctrl.PeerUp(peerAS)
 
 	// Initial table transfer: everything the participant should know.

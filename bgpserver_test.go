@@ -144,10 +144,10 @@ func TestBGPServerInitialTableTransfer(t *testing.T) {
 	ctrl := newTwoPartyExchange(t)
 	// Seed a route before anyone connects.
 	prefix := MustParsePrefix("20.0.0.0/8")
-	ctrl.ProcessUpdate(200, &bgp.Update{
+	ctrl.ApplyBatch(PeerUpdate{From: 200, Update: &bgp.Update{
 		Attrs: &bgp.PathAttrs{ASPath: []uint32{200}, NextHop: PortIP(2)},
 		NLRI:  []iputil.Prefix{prefix},
-	})
+	}})
 	srv := listenForTest(t, ctrl)
 
 	got := make(chan *bgp.Update, 4)
@@ -166,5 +166,74 @@ func TestBGPServerInitialTableTransfer(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("timeout waiting for initial table transfer")
+	}
+}
+
+// TestBGPServerPeerUpFlushesQueuedUpdates: updates a dead session left in
+// the ingestion queue must not survive the fresh session's full table
+// exchange. B1 announces P and closes while P still sits in the queue (it
+// never drains on its own here); B2 then connects, and after its initial
+// table the queue is flushed: P belonged to the dead session, so A must
+// not see it.
+func TestBGPServerPeerUpFlushesQueuedUpdates(t *testing.T) {
+	ctrl := newTwoPartyExchange(t)
+	seed := MustParsePrefix("10.0.0.0/8")
+	ctrl.ApplyBatch(PeerUpdate{From: 100, Update: &bgp.Update{
+		Attrs: &bgp.PathAttrs{ASPath: []uint32{100}, NextHop: PortIP(1)},
+		NLRI:  []iputil.Prefix{seed},
+	}})
+	srv := listenForTest(t, ctrl)
+	q := NewUpdateQueue(ctrl, QueueConfig{MaxDelay: time.Hour})
+	defer q.Stop()
+	srv.UseIngestQueue(q)
+
+	b1, err := DialBGP(srv.Addr(), bgp.SessionConfig{LocalAS: 200, RouterID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := MustParsePrefix("20.0.0.0/8")
+	if err := b1.SendUpdate(&bgp.Update{
+		Attrs: &bgp.PathAttrs{ASPath: []uint32{200}, NextHop: PortIP(2)},
+		NLRI:  []iputil.Prefix{p},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for q.Stats().Enqueued == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("timeout waiting for B1's update to reach the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b1.Close()
+
+	got := make(chan *bgp.Update, 16)
+	b2, err := DialBGP(srv.Addr(), bgp.SessionConfig{
+		LocalAS: 200, RouterID: 2,
+		OnUpdate: func(_ *bgp.Session, u *bgp.Update) {
+			select {
+			case got <- u:
+			default:
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	// Only the initial table carries A's seed route; the session's sink
+	// may deliver other advertisements before it.
+	for seen := false; !seen; {
+		select {
+		case u := <-got:
+			seen = len(u.NLRI) == 1 && u.NLRI[0] == seed
+		case <-time.After(3 * time.Second):
+			t.Fatal("timeout waiting for B2's initial table")
+		}
+	}
+
+	q.Flush()
+	if r, ok := ctrl.RouteServer().BestRoute(100, p); ok {
+		t.Fatalf("A sees %v from the dead session", r)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"sdx/internal/bgp"
 	"sdx/internal/core"
 	"sdx/internal/iputil"
+	"sdx/internal/rs"
 	"sdx/internal/workload"
 )
 
@@ -70,7 +71,7 @@ func main() {
 	additional, affected, recompiles := 0, 0, 0
 	start := time.Now()
 	for i, e := range events {
-		res := ctrl.ProcessUpdate(e.peer, e.update)
+		res := ctrl.ApplyBatch(rs.PeerUpdate{From: e.peer, Update: e.update})
 		times = append(times, res.Elapsed)
 		additional += res.AdditionalRules
 		affected += res.AffectedGroups

@@ -56,7 +56,6 @@ func main() {
 	fabric := flag.String("fabric", "", "optional sdx-switch address to program over the control channel")
 	optimize := flag.Duration("optimize-interval", 5*time.Second, "background recompilation interval")
 	metricsAddr := flag.String("metrics", "", "HTTP observability address (serves /metrics, /metrics/text, /trace, /health); empty disables")
-	coalesce := flag.Bool("coalesce", true, "route received UPDATEs through the coalescing ingestion queue (per-(peer,prefix) latest-wins, bounded install latency)")
 	reconcileInterval := flag.Duration("reconcile-interval", time.Second, "continuous reconciler period against the external fabric's installed table (0 disables; requires -fabric)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "dataplane liveness probe period across participant port pairs (0 disables; requires -fabric)")
 	flowRate := flag.Int("flow-sample-rate", 1024, "sFlow-style 1-in-N packet sampling rate on the local dataplane (0 disables flow analytics)")
@@ -243,12 +242,8 @@ func main() {
 	}
 	log.Printf("route server listening on %s (AS%d)", srv.Addr(), *localAS)
 
-	var queue *sdx.UpdateQueue
-	if *coalesce {
-		queue = sdx.NewUpdateQueue(ctrl, sdx.QueueConfig{})
-		srv.UseIngestQueue(queue)
-		log.Printf("coalescing ingestion queue enabled")
-	}
+	queue := sdx.NewUpdateQueue(ctrl, sdx.QueueConfig{})
+	srv.UseIngestQueue(queue)
 
 	// Background optimizer: recompile between update bursts (§4.3.2).
 	stopOptimizer := ctrl.StartOptimizer(*optimize)
@@ -267,12 +262,10 @@ func main() {
 		rec.Stop()
 	}
 	srv.Close()
-	if queue != nil {
-		queue.Stop()
-		st := queue.Stats()
-		log.Printf("ingestion queue: %d enqueued, %d coalesced, %d applied over %d drains",
-			st.Enqueued, st.Coalesced, st.Applied, st.Drains)
-	}
+	queue.Stop()
+	st := queue.Stats()
+	log.Printf("ingestion queue: %d enqueued, %d coalesced, %d applied over %d drains",
+		st.Enqueued, st.Coalesced, st.Applied, st.Drains)
 	fabricStop()
 }
 

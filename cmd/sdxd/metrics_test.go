@@ -34,10 +34,10 @@ func TestMetricsMux(t *testing.T) {
 	}
 	const burst = 10
 	for i := 0; i < burst; i++ {
-		ctrl.ProcessUpdate(200, &sdx.Update{
+		ctrl.ApplyBatch(sdx.PeerUpdate{From: 200, Update: &sdx.Update{
 			Attrs: &bgp.PathAttrs{ASPath: []uint32{200}, NextHop: sdx.PortIP(2)},
 			NLRI:  []iputil.Prefix{sdx.MustParsePrefix(fmt.Sprintf("10.%d.0.0/16", i))},
-		})
+		}})
 	}
 	ctrl.Recompile()
 

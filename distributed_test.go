@@ -63,10 +63,10 @@ func TestDistributedFabric(t *testing.T) {
 		case 300:
 			port = 4
 		}
-		ctrl.ProcessUpdate(peer, &bgp.Update{
+		ctrl.ApplyBatch(PeerUpdate{From: peer, Update: &bgp.Update{
 			Attrs: &bgp.PathAttrs{ASPath: path, NextHop: iputil.Addr(PortIP(port))},
 			NLRI:  []iputil.Prefix{p1},
-		})
+		}})
 	}
 	announce(200, 200, 900, 901)
 	announce(300, 300)
@@ -122,7 +122,7 @@ func TestDistributedFabric(t *testing.T) {
 
 	// A fast-path update (withdrawal) propagates to the remote fabric.
 	before := mustStats(t, client).Rules
-	ctrl.ProcessUpdate(200, &bgp.Update{Withdrawn: []iputil.Prefix{p1}})
+	ctrl.ApplyBatch(PeerUpdate{From: 200, Update: &bgp.Update{Withdrawn: []iputil.Prefix{p1}}})
 	if err := client.Barrier(); err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,12 @@ func main() {
 	service := sdx.MustParseAddr("74.125.1.1")
 	inst1 := sdx.MustParseAddr("184.72.255.10")
 	inst2 := sdx.MustParseAddr("184.73.177.10")
-	if _, err := x.AnnouncePrefix(400, anycast); err != nil {
-		log.Fatal(err)
-	}
+	// With no port at the exchange, the tenant's AS number stands in as
+	// the originated route's next hop (§3.2).
+	x.ApplyBatch(sdx.PeerUpdate{From: 400, Update: &sdx.Update{
+		Attrs: &sdx.PathAttrs{ASPath: []uint32{400}, NextHop: sdx.Addr(400)},
+		NLRI:  []sdx.Prefix{anycast},
+	}})
 	// Policy terms are disjoint by construction (Pyretic's + applies every
 	// matching term, so overlapping rewrites would multicast).
 	srv := sdx.MatchAll.DstIP(sdx.MustParsePrefix("74.125.1.1/32"))

@@ -53,14 +53,13 @@ func main() {
 	// B and C announce 11.0.0.0/8; A prefers C by path length and sends
 	// web traffic via B by policy.
 	p1 := sdx.MustParsePrefix("11.0.0.0/8")
-	x.ProcessUpdate(200, &bgp.Update{
+	x.ApplyBatch(sdx.PeerUpdate{From: 200, Update: &bgp.Update{
 		Attrs: &bgp.PathAttrs{ASPath: []uint32{200, 900, 901}, NextHop: sdx.PortIP(2)},
 		NLRI:  []iputil.Prefix{p1},
-	})
-	x.ProcessUpdate(300, &bgp.Update{
+	}}, sdx.PeerUpdate{From: 300, Update: &bgp.Update{
 		Attrs: &bgp.PathAttrs{ASPath: []uint32{300}, NextHop: sdx.PortIP(4)},
 		NLRI:  []iputil.Prefix{p1},
-	})
+	}})
 	rep := x.Recompile(sdx.CompilePolicy(100, nil, []sdx.Term{
 		sdx.Fwd(sdx.MatchAll.DstPort(80), 200),
 	}))

@@ -12,7 +12,7 @@ import (
 // trace (each burst replayed three times, so every (peer, prefix) key is
 // rewritten repeatedly and coalescing is guaranteed to collapse entries)
 // is driven through two identical controllers — one applying every event
-// one at a time via ProcessUpdate, the other enqueueing the whole burst
+// one at a time via ApplyBatch, the other enqueueing the whole burst
 // into a coalescing UpdateQueue drained in a single pass. After a full
 // recompilation on both sides, the canonical classifier dumps, installed
 // flow tables, per-participant Loc-RIB views and forwarding outcomes must

@@ -18,6 +18,7 @@ import (
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
+	"sdx/internal/rs"
 	"sdx/internal/verify"
 	"sdx/internal/workload"
 )
@@ -121,7 +122,7 @@ func (in *Instance) Trace(updates int, seed int64) *workload.Trace {
 func (in *Instance) Replay(tr *workload.Trace) int {
 	rules := 0
 	for _, e := range tr.Events {
-		res := in.Ctrl.ProcessUpdate(e.Peer, e.Update)
+		res := in.Ctrl.ApplyBatch(rs.PeerUpdate{From: e.Peer, Update: e.Update})
 		rules += res.AdditionalRules
 	}
 	return rules

@@ -41,10 +41,9 @@ type RouteAd struct {
 	Withdraw bool
 }
 
-// UpdateResult reports what one BGP update did to the SDX (the §6.3
-// incremental metrics).
+// UpdateResult reports what one batch of BGP updates did to the SDX (the
+// §6.3 incremental metrics).
 type UpdateResult struct {
-	Events          []rs.Event    // best-route changes across participants
 	AffectedGroups  int           // prefixes that needed fast-path rules
 	AdditionalRules int           // rules pushed into the fast band (Fig 9)
 	Elapsed         time.Duration // fast-path processing time (Fig 10)
@@ -372,14 +371,12 @@ func (c *Controller) PeerDown(as uint32) {
 // flushPeerRoutesLocked drops every route learned from the peer and runs
 // the fast path over the resulting best-route changes, re-advertising
 // affected prefixes. The participant stays registered. Caller holds c.mu
-// (the established lock order is c.mu before rs.mu, as in ProcessUpdate),
+// (the established lock order is c.mu before rs.mu, as in ApplyBatch),
 // which makes the flush atomic with the generation check above.
 func (c *Controller) flushPeerRoutesLocked(as uint32) {
-	events := c.rs.FlushPeer(as)
-	if len(events) == 0 {
-		return
+	if changed := c.rs.FlushPeer(as); len(changed) > 0 {
+		c.handleChangesLocked(changed)
 	}
-	c.handleEventsLocked(events)
 }
 
 // SetPolicy installs a participant's inbound and outbound policy terms,
@@ -434,79 +431,14 @@ func (c *Controller) installPolicyLocked(p *Participant, inbound, outbound []Ter
 	c.dirty = true
 }
 
-// AnnouncePrefix originates a BGP route for prefix on behalf of a
-// participant (§3.2 "originating BGP routes from the SDX"; the wide-area
-// load balancer announces its anycast prefix this way). In a real
-// deployment the SDX would verify ownership via the RPKI first.
-//
-// Deprecated-style convenience: this is a thin wrapper over ApplyUpdates
-// with a one-announcement UPDATE, kept for callers originating single
-// routes. New code with several routes in hand should build the UPDATEs
-// and call ApplyUpdates once.
-func (c *Controller) AnnouncePrefix(as uint32, prefix iputil.Prefix) (UpdateResult, error) {
-	c.mu.Lock()
-	p, ok := c.parts[as]
-	c.mu.Unlock()
-	if !ok {
-		return UpdateResult{}, fmt.Errorf("core: unknown participant AS%d", as)
-	}
-	nh := iputil.Addr(as)
-	if primary, ok := p.PrimaryPort(); ok {
-		nh = primary.IP()
-	}
-	u := &bgp.Update{
-		Attrs: &bgp.PathAttrs{ASPath: []uint32{as}, NextHop: nh},
-		NLRI:  []iputil.Prefix{prefix},
-	}
-	return c.ApplyUpdates(as, u), nil
-}
-
-// WithdrawPrefix withdraws a previously announced prefix.
-//
-// Deprecated-style convenience: thin wrapper over ApplyUpdates with a
-// one-withdrawal UPDATE (see AnnouncePrefix).
-func (c *Controller) WithdrawPrefix(as uint32, prefix iputil.Prefix) (UpdateResult, error) {
-	c.mu.Lock()
-	_, ok := c.parts[as]
-	c.mu.Unlock()
-	if !ok {
-		return UpdateResult{}, fmt.Errorf("core: unknown participant AS%d", as)
-	}
-	return c.ApplyUpdates(as, &bgp.Update{Withdrawn: []iputil.Prefix{prefix}}), nil
-}
-
-// ProcessUpdate runs one BGP update through the route server and the fast
-// incremental compilation path.
-//
-// Deprecated-style convenience: this is ApplyUpdates with a single-UPDATE
-// batch, kept so per-update callers (BGP session OnUpdate hooks, tests)
-// read naturally. Batch callers — and anything fed by the coalescing
-// UpdateQueue — should use ApplyUpdates/ApplyBatch directly so the route
-// server's decision process and the re-advertisement pass run once per
-// batch instead of once per update.
-func (c *Controller) ProcessUpdate(from uint32, u *bgp.Update) UpdateResult {
-	return c.ApplyUpdates(from, u)
-}
-
-// ApplyUpdates applies a burst of BGP updates from one participant as a
-// single batch: every update's RIB mutations are applied (sharded, in
-// parallel) and the fast incremental compilation path (§4.3.2) runs once
-// over the combined best-route changes — affected prefixes that interact
-// with any policy get a fresh per-prefix VNH and higher-priority rules
+// ApplyBatch is the one way BGP updates enter the controller: a batch of
+// UPDATEs, possibly from many participants, as drained from the ingestion
+// queue. Every update's RIB mutations are applied (sharded, in parallel)
+// and the fast incremental compilation path (§4.3.2) runs once over the
+// prefixes whose best routes changed — those that interact with any
+// policy get a fresh per-prefix VNH and higher-priority rules
 // immediately; the full (optimal) recompilation is left to the next
 // Recompile call, which the background optimizer invokes between bursts.
-// This is the batch-first ingestion API AnnouncePrefix, WithdrawPrefix
-// and ProcessUpdate are wrappers over.
-func (c *Controller) ApplyUpdates(from uint32, us ...*bgp.Update) UpdateResult {
-	batch := make([]rs.PeerUpdate, len(us))
-	for i, u := range us {
-		batch[i] = rs.PeerUpdate{From: from, Update: u}
-	}
-	return c.ApplyBatch(batch...)
-}
-
-// ApplyBatch is ApplyUpdates for a mixed-origin batch: updates from many
-// participants applied together, as drained from the ingestion queue.
 // Within the batch, updates for the same (prefix, peer) pair apply in
 // order, so the batch is equivalent to applying its updates one at a
 // time — only cheaper: one decision pass, one dirty set, one
@@ -524,41 +456,33 @@ func (c *Controller) ApplyBatch(batch ...rs.PeerUpdate) UpdateResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	events := c.rs.Apply(batch)
-	res := c.handleEventsLocked(events)
+	res := c.handleChangesLocked(c.rs.Apply(batch))
 	res.Elapsed = t.Stop()
 	return res
 }
 
-// handleEventsLocked runs the fast incremental path over a batch of
-// best-route changes and re-advertises the affected prefixes.
-func (c *Controller) handleEventsLocked(events []rs.Event) UpdateResult {
-	res := UpdateResult{Events: events}
+// handleChangesLocked runs the fast incremental path over the prefixes
+// whose best routes changed (sorted, as the route server returns them)
+// and re-advertises them.
+func (c *Controller) handleChangesLocked(changed []iputil.Prefix) UpdateResult {
+	var res UpdateResult
 	comp := &compiler{parts: c.parts, view: c.rs, vnhs: c.vnhs}
-	c.m.updateEvents.Add(int64(len(events)))
-
-	seen := make(map[iputil.Prefix]bool)
-	for _, e := range events {
-		if seen[e.Prefix] {
-			continue
-		}
-		seen[e.Prefix] = true
-
-		g, _ := comp.fastGroup(e.Prefix)
-		_, wasGrouped := c.cur.GroupIdx[e.Prefix]
-		_, wasFast := c.fastPrefix[e.Prefix]
+	for _, prefix := range changed {
+		g, _ := comp.fastGroup(prefix)
+		_, wasGrouped := c.cur.GroupIdx[prefix]
+		_, wasFast := c.fastPrefix[prefix]
 		if len(g.Sets) == 0 && !wasGrouped && !wasFast {
 			// The prefix interacts with no policy: plain route-server
 			// behaviour, no fabric rules needed.
 			continue
 		}
 
-		fc := comp.CompileFast(e.Prefix)
+		fc := comp.CompileFast(prefix)
 		idx := uint32(fc.VNHs[0] - VNHSubnet.Addr())
-		c.fastPrefix[e.Prefix] = idx
+		c.fastPrefix[prefix] = idx
 		c.arpd.Register(fc.VNHs[0], fc.VMACs[0])
 		c.m.fastCompiles.Inc()
-		c.tracer.Emit(telemetry.EventFECChanged, e.Participant, e.Prefix.String(), int64(idx))
+		c.tracer.Emit(telemetry.EventFECChanged, 0, prefix.String(), int64(idx))
 
 		entries := dataplane.EntriesFromClassifier(fc.Band1, fastBandBase+2048, cookieFast)
 		entries = append(entries, dataplane.EntriesFromClassifier(fc.Band2, fastBandBase, cookieFast)...)
@@ -572,20 +496,15 @@ func (c *Controller) handleEventsLocked(events []rs.Event) UpdateResult {
 		res.AffectedGroups++
 		res.AdditionalRules += len(entries)
 	}
-	if len(events) > 0 {
-		c.m.dirtySet.Observe(int64(len(seen)))
+	if len(changed) > 0 {
+		c.m.dirtySet.Observe(int64(len(changed)))
+		c.dirty = true
 	}
-	c.dirty = c.dirty || len(events) > 0
 
 	// Re-advertise affected prefixes to every participant, in sorted
 	// order so advertisement traces and mirror streams are deterministic
 	// across runs.
-	readv := make([]iputil.Prefix, 0, len(seen))
-	for p := range seen {
-		readv = append(readv, p)
-	}
-	sort.Slice(readv, func(i, j int) bool { return readv[i].Compare(readv[j]) < 0 })
-	for _, p := range readv {
+	for _, p := range changed {
 		c.advertisePrefixLocked(p)
 	}
 	return res
@@ -596,7 +515,7 @@ func (c *Controller) handleEventsLocked(events []rs.Event) UpdateResult {
 // over the resulting best-route changes. Any policy of another
 // participant that targeted it stops matching at the next Recompile.
 func (c *Controller) RemoveParticipant(as uint32) (UpdateResult, error) {
-	// Deliberately unrecorded: update_ns tracks only ProcessUpdate, so its
+	// Deliberately unrecorded: update_ns tracks only ApplyBatch, so its
 	// sample count stays comparable with the updates_in counter.
 	t := telemetry.StartTimer(nil)
 	c.mu.Lock()
@@ -619,8 +538,7 @@ func (c *Controller) RemoveParticipant(as uint32) (UpdateResult, error) {
 		delete(c.macToPort, pp.MAC())
 		c.arpd.Unregister(pp.IP())
 	}
-	events := c.rs.RemoveParticipant(as)
-	res := c.handleEventsLocked(events)
+	res := c.handleChangesLocked(c.rs.RemoveParticipant(as))
 	c.dirty = true
 	res.Elapsed = t.Stop()
 	return res, nil

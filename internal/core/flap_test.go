@@ -12,6 +12,7 @@ import (
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
+	"sdx/internal/rs"
 )
 
 // recSink records every mirror operation for assertion.
@@ -54,10 +55,10 @@ func newFlapController(t *testing.T, ageOut time.Duration) *core.Controller {
 }
 
 func announceFrom(ctrl *core.Controller, as uint32, p iputil.Prefix) {
-	ctrl.ProcessUpdate(as, &bgp.Update{
+	ctrl.ApplyBatch(rs.PeerUpdate{From: as, Update: &bgp.Update{
 		Attrs: &bgp.PathAttrs{ASPath: []uint32{as}, NextHop: iputil.Addr(as)},
 		NLRI:  []iputil.Prefix{p},
-	})
+	}})
 }
 
 // TestPeerDownAgesOutRoutes: a session staying down past the age-out
@@ -177,7 +178,7 @@ func TestPeerUpAgeOutFiredTimerRace(t *testing.T) {
 		// The withdraw/announce cycle guarantees the sink fires (see
 		// TestOnRouteUnregister).
 		announceFrom(ctrl, 200, pfx("11.0.0.0/8"))
-		ctrl.ProcessUpdate(200, &bgp.Update{Withdrawn: []iputil.Prefix{pfx("11.0.0.0/8")}})
+		ctrl.ApplyBatch(rs.PeerUpdate{From: 200, Update: &bgp.Update{Withdrawn: []iputil.Prefix{pfx("11.0.0.0/8")}}})
 	}()
 	<-sinkBlocked
 	time.Sleep(60 * time.Millisecond) // > age-out: the timer fires, callback queues on c.mu
@@ -229,7 +230,7 @@ func TestOnRouteUnregister(t *testing.T) {
 	// A plain announcement reaches no policy, so force re-advertisement
 	// through a withdraw/announce cycle seen by every sink.
 	announceFrom(ctrl, 200, pfx("10.0.0.0/8"))
-	ctrl.ProcessUpdate(200, &bgp.Update{Withdrawn: []iputil.Prefix{pfx("10.0.0.0/8")}})
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 200, Update: &bgp.Update{Withdrawn: []iputil.Prefix{pfx("10.0.0.0/8")}}})
 	mu.Lock()
 	before := got
 	mu.Unlock()
@@ -238,7 +239,7 @@ func TestOnRouteUnregister(t *testing.T) {
 	}
 	unregister()
 	announceFrom(ctrl, 200, pfx("11.0.0.0/8"))
-	ctrl.ProcessUpdate(200, &bgp.Update{Withdrawn: []iputil.Prefix{pfx("11.0.0.0/8")}})
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 200, Update: &bgp.Update{Withdrawn: []iputil.Prefix{pfx("11.0.0.0/8")}}})
 	mu.Lock()
 	after := got
 	mu.Unlock()

@@ -56,10 +56,10 @@ func buildFig1Exchange(t *testing.T) *core.Controller {
 		for i, s := range prefixes {
 			nlri[i] = mustPrefix(t, s)
 		}
-		ctrl.ProcessUpdate(as, &bgp.Update{
+		ctrl.ApplyBatch(rs.PeerUpdate{From: as, Update: &bgp.Update{
 			Attrs: &bgp.PathAttrs{ASPath: path, NextHop: core.PortIP(nh)},
 			NLRI:  nlri,
-		})
+		}})
 	}
 	// B and C both reach p1 and p2; only C reaches p3 (Fig 1's table).
 	announce(200, 2, []uint32{200, 900}, "40.0.1.0/24", "40.0.2.0/24")
@@ -111,7 +111,7 @@ func buildMixedExchange(t *testing.T) *core.Controller {
 		}
 		a := attrs
 		a.NextHop = core.PortIP(nh)
-		ctrl.ProcessUpdate(as, &bgp.Update{Attrs: &a, NLRI: nlri})
+		ctrl.ApplyBatch(rs.PeerUpdate{From: as, Update: &bgp.Update{Attrs: &a, NLRI: nlri}})
 	}
 	// Same prefix from 20 and 30 with a MED tie-break (same neighbor AS
 	// via path [x, 900]) plus an origin difference on a second prefix.

@@ -9,6 +9,7 @@ import (
 	"sdx/internal/core"
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
+	"sdx/internal/rs"
 )
 
 func TestRemoveParticipant(t *testing.T) {
@@ -17,12 +18,15 @@ func TestRemoveParticipant(t *testing.T) {
 
 	// Web to p3 goes via B (policy). Remove B entirely.
 	f.sendAndExpect(t, f.a, tcp(ip("50.0.0.1"), ip("13.1.1.1"), 80), f.b1)
-	res, err := f.ctrl.RemoveParticipant(asB)
-	if err != nil {
+	srv := f.ctrl.RouteServer()
+	if r, ok := srv.BestRoute(asA, f.p3); !ok || r.PeerAS != asB {
+		t.Fatalf("A's best route for p3 before removal: %v, want via B", r)
+	}
+	if _, err := f.ctrl.RemoveParticipant(asB); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Events) == 0 {
-		t.Fatal("removal should change best routes")
+	if r, ok := srv.BestRoute(asA, f.p3); !ok || r.PeerAS != asC {
+		t.Fatalf("removal should move A's best route for p3 to C, got %v", r)
 	}
 	if _, ok := f.ctrl.Participant(asB); ok {
 		t.Fatal("participant should be gone")
@@ -53,14 +57,14 @@ func TestEnableCommunitiesEndToEnd(t *testing.T) {
 	// Z re-announces p5 with a "do not announce to AS A" community.
 	p5 := pfx("15.0.0.0/8")
 	f.z.Withdraw(p5)
-	f.ctrl.ProcessUpdate(asZ, &bgp.Update{
+	f.ctrl.ApplyBatch(rs.PeerUpdate{From: asZ, Update: &bgp.Update{
 		Attrs: &bgp.PathAttrs{
 			ASPath:      []uint32{asZ},
 			NextHop:     core.PortIP(6),
 			Communities: []uint32{0<<16 | asA},
 		},
 		NLRI: []iputil.Prefix{p5},
-	})
+	}})
 	f.ctrl.Recompile()
 
 	// A has no route: the send fails at the FIB.

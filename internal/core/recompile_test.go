@@ -41,9 +41,9 @@ func TestFullCompileReadsRIBOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			ctrl.ApplyUpdates(100+uint32(i), announceU(100+uint32(i), 0, pfxI(i), pfxI(i+1), pfxI(20+i)))
+			ctrl.ApplyBatch(rs.PeerUpdate{From: 100 + uint32(i), Update: announceU(100+uint32(i), 0, pfxI(i), pfxI(i+1), pfxI(20+i))})
 		}
-		ctrl.ApplyUpdates(remote, announceU(remote, 0, pfxI(40)))
+		ctrl.ApplyBatch(rs.PeerUpdate{From: remote, Update: announceU(remote, 0, pfxI(40))})
 		for i := 0; i < n; i++ {
 			var out []Term
 			for k := 0; k < terms; k++ {
@@ -159,8 +159,8 @@ func TestRecompileAdvertisesOnlyMovedNextHops(t *testing.T) {
 
 	// AS101 announces everything on the shortest path (the default next
 	// hop throughout), AS102 only the high half.
-	ctrl.ApplyUpdates(101, &bgp.Update{Attrs: &bgp.PathAttrs{ASPath: []uint32{101}, NextHop: 101}, NLRI: all})
-	ctrl.ApplyUpdates(102, announceU(102, 0, high...))
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 101, Update: &bgp.Update{Attrs: &bgp.PathAttrs{ASPath: []uint32{101}, NextHop: 101}, NLRI: all}})
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 102, Update: announceU(102, 0, high...)})
 	web := Fwd(pkt.MatchAll.DstPort(80), 101)
 	if got := mustRecompile("first pass", CompilePolicy(100, nil, []Term{web})); !slices.Equal(got, all) {
 		t.Fatalf("first pass advertised %v, want every newly grouped prefix %v", got, all)
@@ -175,7 +175,7 @@ func TestRecompileAdvertisesOnlyMovedNextHops(t *testing.T) {
 	// (ii) Fast-path updates hand out per-prefix VNHs; the next pass moves
 	// exactly those prefixes back to their group's.
 	flapped := []iputil.Prefix{all[0], all[4]}
-	ctrl.ApplyUpdates(101, &bgp.Update{Attrs: &bgp.PathAttrs{ASPath: []uint32{101}, NextHop: 101, MED: 7, HasMED: true}, NLRI: flapped})
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 101, Update: &bgp.Update{Attrs: &bgp.PathAttrs{ASPath: []uint32{101}, NextHop: 101, MED: 7, HasMED: true}, NLRI: flapped}})
 	rec.check(t, ctrl, "fast path")
 	for _, p := range flapped {
 		if nh := rec.fib[100][p]; !isVNH(nh) || nh == lowVNH {

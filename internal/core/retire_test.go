@@ -11,6 +11,7 @@ import (
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
+	"sdx/internal/rs"
 )
 
 // laggingMirror is a remote table whose operations land late: while held,
@@ -136,8 +137,8 @@ func renderTable(es []*dataplane.FlowEntry) []string {
 func TestRecompileRetiresFastBandMakeBeforeBreak(t *testing.T) {
 	ctrl := ingestFixture(t, 3) // AS100..102 on ports 1..3
 	all := []iputil.Prefix{pfxI(1), pfxI(2), pfxI(3)}
-	ctrl.ApplyUpdates(101, announceU(101, 0, all...))
-	ctrl.ApplyUpdates(102, &bgp.Update{Attrs: &bgp.PathAttrs{ASPath: []uint32{102, 7, 8}, NextHop: 102}, NLRI: all})
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 101, Update: announceU(101, 0, all...)})
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 102, Update: &bgp.Update{Attrs: &bgp.PathAttrs{ASPath: []uint32{102, 7, 8}, NextHop: 102}, NLRI: all}})
 	web := Fwd(pkt.MatchAll.DstPort(80), 102)
 	if rep := ctrl.Recompile(CompilePolicy(100, nil, []Term{web})); rep.Err != nil {
 		t.Fatal(rep.Err)
@@ -164,7 +165,7 @@ func TestRecompileRetiresFastBandMakeBeforeBreak(t *testing.T) {
 	}
 
 	// A fast-path update hands pfxI(1) a fresh VNH.
-	ctrl.ApplyUpdates(101, announceU(101, 1, all[0]))
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 101, Update: announceU(101, 1, all[0])})
 	if ctrl.FastRules() == 0 {
 		t.Fatal("the update installed no fast rules")
 	}
@@ -210,7 +211,7 @@ func TestRecompileRetiresFastBandMakeBeforeBreak(t *testing.T) {
 		t.Fatalf("FastRules = %d while the pass waits, want 0: the retired band is not live", n)
 	}
 	// The controller lock is free: an update installs its fast rules now.
-	ctrl.ApplyUpdates(101, announceU(101, 2, all[2]))
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 101, Update: announceU(101, 2, all[2])})
 	live := ctrl.FastRules()
 	if live == 0 {
 		t.Fatal("an update during the wait installed no fast rules")
@@ -239,7 +240,7 @@ func TestRecompileRetiresFastBandMakeBeforeBreak(t *testing.T) {
 	// A mirror that cannot confirm does not wedge the pass: the local
 	// table drops the retired band once the barrier fails.
 	mirror.err = errors.New("channel closed")
-	ctrl.ApplyUpdates(101, announceU(101, 3, all[1]))
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 101, Update: announceU(101, 3, all[1])})
 	if rep := ctrl.Recompile(); rep.Err != nil {
 		t.Fatal(rep.Err)
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"sdx/internal/bgp"
 	"sdx/internal/core"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
@@ -325,9 +326,10 @@ func TestWideAreaLoadBalancer(t *testing.T) {
 		t.Fatal(err)
 	}
 	anycast := pfx("74.125.1.0/24")
-	if _, err := f.ctrl.AnnouncePrefix(asD, anycast); err != nil {
-		t.Fatal(err)
-	}
+	f.ctrl.ApplyBatch(rs.PeerUpdate{From: asD, Update: &bgp.Update{
+		Attrs: &bgp.PathAttrs{ASPath: []uint32{asD}, NextHop: iputil.Addr(asD)},
+		NLRI:  []iputil.Prefix{anycast},
+	}})
 	rep := f.ctrl.Recompile(core.CompilePolicy(asD, []core.Term{
 		core.RewriteTerm(pkt.MatchAll.DstIP(pfx("74.125.1.1/32")).SrcIP(pfx("96.25.160.0/24")),
 			pkt.NoMods.SetDstIP(ip("74.125.224.161"))),
@@ -352,9 +354,7 @@ func TestWideAreaLoadBalancer(t *testing.T) {
 	f.sendAndExpect(t, f.a, tcp(ip("9.9.9.9"), ip("74.125.1.1"), 80), nil)
 
 	// Withdrawal removes the anycast service.
-	if _, err := f.ctrl.WithdrawPrefix(asD, anycast); err != nil {
-		t.Fatal(err)
-	}
+	f.ctrl.ApplyBatch(rs.PeerUpdate{From: asD, Update: &bgp.Update{Withdrawn: []iputil.Prefix{anycast}}})
 	f.ctrl.Recompile()
 	f.sendAndExpect(t, f.a, tcp(ip("96.25.160.9"), ip("74.125.1.1"), 80), nil)
 }

@@ -27,10 +27,9 @@ func (c *Controller) Tracer() *telemetry.Tracer { return c.tracer }
 // ctrlMetrics holds the controller's metric handles, resolved once at
 // construction so hot paths never touch the registry's name map.
 type ctrlMetrics struct {
-	updatesIn    *telemetry.Counter   // controller.updates_in
-	updateNS     *telemetry.Histogram // controller.update_ns
-	updateEvents *telemetry.Counter   // controller.update_events
-	dirtySet     *telemetry.Histogram // controller.dirty_set
+	updatesIn *telemetry.Counter   // controller.updates_in
+	updateNS  *telemetry.Histogram // controller.update_ns
+	dirtySet  *telemetry.Histogram // controller.dirty_set
 
 	fastCompiles *telemetry.Counter   // controller.fast_compiles
 	fullCompiles *telemetry.Counter   // controller.full_compiles
@@ -54,7 +53,6 @@ func (c *Controller) initTelemetry() {
 	c.m = ctrlMetrics{
 		updatesIn:      reg.Counter("controller.updates_in"),
 		updateNS:       reg.Histogram("controller.update_ns"),
-		updateEvents:   reg.Counter("controller.update_events"),
 		dirtySet:       reg.Histogram("controller.dirty_set"),
 		fastCompiles:   reg.Counter("controller.fast_compiles"),
 		fullCompiles:   reg.Counter("controller.full_compiles"),

@@ -14,6 +14,7 @@ import (
 	"sdx/internal/core"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
+	"sdx/internal/rs"
 	"sdx/internal/workload"
 )
 
@@ -375,10 +376,10 @@ func reannounce(ctrl *core.Controller, x *workload.IXP, peer uint32, q iputil.Pr
 	if wp := x.Participant(peer); wp != nil && len(wp.Ports) > 0 {
 		nh = wp.Ports[0].IP()
 	}
-	return ctrl.ApplyUpdates(peer, &bgp.Update{
+	return ctrl.ApplyBatch(rs.PeerUpdate{From: peer, Update: &bgp.Update{
 		Attrs: &bgp.PathAttrs{ASPath: []uint32{peer, 900 + salt%100, 800 + salt%50}, NextHop: nh},
 		NLRI:  []iputil.Prefix{q},
-	})
+	}})
 }
 
 // Render helpers ------------------------------------------------------------

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"sdx/internal/bgp"
 	"sdx/internal/core"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
 	"sdx/internal/router"
+	"sdx/internal/rs"
 	"sdx/internal/trafficgen"
 )
 
@@ -106,9 +108,12 @@ func Fig5b(steps, policyAt int) (*Fig5Series, error) {
 	b.Announce(iputil.MustParsePrefix("184.73.177.0/24"), 200, 16509)
 	inst1 := iputil.MustParseAddr("184.72.255.10")
 	inst2 := iputil.MustParseAddr("184.73.177.10")
-	if _, err := ctrl.AnnouncePrefix(400, iputil.MustParsePrefix("74.125.1.0/24")); err != nil {
-		return nil, err
-	}
+	// The tenant originates its service prefix through the SDX (§3.2);
+	// with no port at the exchange, its AS number stands in as next hop.
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 400, Update: &bgp.Update{
+		Attrs: &bgp.PathAttrs{ASPath: []uint32{400}, NextHop: iputil.Addr(400)},
+		NLRI:  []iputil.Prefix{iputil.MustParsePrefix("74.125.1.0/24")},
+	}})
 	srv := pkt.MatchAll.DstIP(iputil.MustParsePrefix("74.125.1.1/32"))
 	setPolicy := func(balanced bool) error {
 		to1, to2 := inst1, inst1

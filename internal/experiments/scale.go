@@ -7,13 +7,14 @@ import (
 
 	"sdx/internal/compiletest"
 	"sdx/internal/core"
+	"sdx/internal/rs"
 	"sdx/internal/workload"
 )
 
 // ScaleCase is one full-table scale benchmark configuration: an IXP
 // loaded to steady state, then driven with sustained hot-prefix churn
 // through two ingestion paths — the serial per-update reference
-// (ProcessUpdate in a loop) and the batch-first path (coalescing
+// (one-update ApplyBatch calls in a loop) and the batch-first path (coalescing
 // UpdateQueue draining into ApplyBatch). Controller-resident cases are
 // bounded by participants × prefixes (the route server keeps a per-viewer
 // Loc-RIB); the 1M-prefix generator profiles (workload.ScaleProfiles)
@@ -51,7 +52,7 @@ type ScaleResult struct {
 	Rules       int
 	HeapPerPfx  float64 // resident heap bytes per loaded prefix
 
-	SerialTime    time.Duration // churn via ProcessUpdate loop
+	SerialTime    time.Duration // churn via one-update ApplyBatch loop
 	SerialRate    float64       // updates/s sustained, serial path
 	CoalescedTime time.Duration // same churn via UpdateQueue (enqueue..Stop)
 	CoalescedRate float64       // offered updates/s sustained, queue path
@@ -126,7 +127,7 @@ func Scale(c ScaleCase, seed int64) (*ScaleResult, error) {
 
 	serialStart := time.Now()
 	for _, e := range tr.Events {
-		serialCtrl.ProcessUpdate(e.Peer, e.Update)
+		serialCtrl.ApplyBatch(rs.PeerUpdate{From: e.Peer, Update: e.Update})
 	}
 	res.SerialTime = time.Since(serialStart)
 	res.SerialRate = float64(len(tr.Events)) / res.SerialTime.Seconds()

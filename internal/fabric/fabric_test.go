@@ -13,6 +13,7 @@ import (
 	"sdx/internal/fabric"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
+	"sdx/internal/rs"
 )
 
 func pfx(s string) iputil.Prefix { return iputil.MustParsePrefix(s) }
@@ -113,10 +114,10 @@ func exchange(t *testing.T, f *fabric.Fabric) (*core.Controller, map[pkt.PortID]
 
 	p1 := pfx("11.0.0.0/8")
 	announce := func(peer uint32, port pkt.PortID, path ...uint32) {
-		ctrl.ProcessUpdate(peer, &bgp.Update{
+		ctrl.ApplyBatch(rs.PeerUpdate{From: peer, Update: &bgp.Update{
 			Attrs: &bgp.PathAttrs{ASPath: path, NextHop: core.PortIP(port)},
 			NLRI:  []iputil.Prefix{p1},
-		})
+		}})
 	}
 	announce(200, 2, 200, 900, 901)
 	announce(300, 4, 300)
@@ -244,7 +245,7 @@ func TestFastPathReachesAllSwitches(t *testing.T) {
 
 	before := f.TotalRules()
 	// Withdraw B's route: the fast path must reprogram the fabric.
-	ctrl.ProcessUpdate(200, &bgp.Update{Withdrawn: []iputil.Prefix{pfx("11.0.0.0/8")}})
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 200, Update: &bgp.Update{Withdrawn: []iputil.Prefix{pfx("11.0.0.0/8")}}})
 	if f.TotalRules() <= before {
 		t.Fatalf("fast band not distributed: %d -> %d rules", before, f.TotalRules())
 	}
@@ -381,7 +382,7 @@ func TestSwitchSinkResync(t *testing.T) {
 	compare("post-resync")
 
 	// Fast-path churn flows through per-switch sinks identically.
-	ctrl.ProcessUpdate(200, &bgp.Update{Withdrawn: []iputil.Prefix{pfx("11.0.0.0/8")}})
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 200, Update: &bgp.Update{Withdrawn: []iputil.Prefix{pfx("11.0.0.0/8")}}})
 	compare("post-withdraw")
 	ctrl.Recompile()
 	compare("post-recompile")

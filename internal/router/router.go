@@ -16,6 +16,7 @@ import (
 	"sdx/internal/core"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
+	"sdx/internal/rs"
 )
 
 // BorderRouter is one simulated edge router with a single fabric port.
@@ -131,12 +132,12 @@ func (r *BorderRouter) Announce(prefix iputil.Prefix, asPath ...uint32) core.Upd
 		Attrs: &bgp.PathAttrs{ASPath: asPath, NextHop: r.port.IP()},
 		NLRI:  []iputil.Prefix{prefix},
 	}
-	return r.ctrl.ApplyUpdates(r.as, u)
+	return r.ctrl.ApplyBatch(rs.PeerUpdate{From: r.as, Update: u})
 }
 
 // Withdraw retracts a previously announced prefix.
 func (r *BorderRouter) Withdraw(prefix iputil.Prefix) core.UpdateResult {
-	return r.ctrl.ApplyUpdates(r.as, &bgp.Update{Withdrawn: []iputil.Prefix{prefix}})
+	return r.ctrl.ApplyBatch(rs.PeerUpdate{From: r.as, Update: &bgp.Update{Withdrawn: []iputil.Prefix{prefix}}})
 }
 
 // Send pushes one packet through the router into the fabric: the FIB maps

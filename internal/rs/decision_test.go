@@ -192,10 +192,10 @@ func TestCommunityWithdrawRestoresVisibility(t *testing.T) {
 		t.Fatal("AS100 must not see the restricted route")
 	}
 	s.HandleUpdate(200, withdraw("10.0.0.0/8"))
-	events := s.HandleUpdate(200, announceAttrs("10.0.0.0/8",
+	changed := s.HandleUpdate(200, announceAttrs("10.0.0.0/8",
 		bgp.PathAttrs{ASPath: []uint32{200}, NextHop: 200}))
-	if len(events) == 0 {
-		t.Fatal("re-announcement should produce best-route events")
+	if len(changed) == 0 {
+		t.Fatal("re-announcement should change best routes")
 	}
 	if _, ok := s.BestRoute(100, pfx("10.0.0.0/8")); !ok {
 		t.Fatal("AS100 must see the route after the unrestricted re-announcement")

@@ -1,10 +1,10 @@
 // Package rs implements the SDX route server (§3.2, §5.1): it collects the
 // BGP routes advertised by every participant, applies per-participant
 // export policies, computes one best route per prefix on behalf of each
-// participant, and emits best-route-change events that drive the SDX
-// policy compiler. Re-advertisement (with virtual next hops substituted)
-// is delegated to a per-participant callback so the controller layer can
-// rewrite next hops before the update leaves the box.
+// participant, and reports the prefixes whose best routes changed, which
+// drive the SDX policy compiler. Re-advertisement (with virtual next hops
+// substituted) is left to the controller layer, which rewrites next hops
+// before the update leaves the box.
 //
 // The Loc-RIB holds one view per prefix — the best route over all routes,
 // plus exceptions for the few viewers from whom something is hidden —
@@ -62,13 +62,6 @@ type ParticipantConfig struct {
 	AS       uint32
 	RouterID iputil.Addr
 	Export   *ExportPolicy
-	// Advertise, when non-nil, is called for every best-route change the
-	// server wants to announce to this participant: route is nil for a
-	// withdrawal. Called with the owning shard's lock held, and — because
-	// the decision process runs per-shard in parallel — possibly
-	// concurrently from different goroutines for prefixes in different
-	// shards. It must not call back into the server.
-	Advertise func(prefix iputil.Prefix, route *bgp.Route)
 }
 
 // PeerUpdate pairs one BGP UPDATE with the participant it was received
@@ -77,18 +70,6 @@ type ParticipantConfig struct {
 type PeerUpdate struct {
 	From   uint32
 	Update *bgp.Update
-}
-
-// Event records a best-route change for one (participant, prefix) pair.
-type Event struct {
-	Participant uint32 // whose view changed
-	Prefix      iputil.Prefix
-	Old, New    *bgp.Route // nil means no route
-}
-
-// String renders the event.
-func (e Event) String() string {
-	return fmt.Sprintf("best(%d, %s): %v -> %v", e.Participant, e.Prefix, e.Old, e.New)
 }
 
 type participant struct {
@@ -171,7 +152,7 @@ type Option func(*Server)
 // WithMetrics publishes route-server metrics into reg:
 //
 //	rs.updates_in     counter   UPDATE messages processed
-//	rs.best_changes   counter   best-route change events emitted
+//	rs.best_changes   counter   best-route changes, one per (viewer, prefix)
 //	rs.decision_ns    histogram decision-process latency per batch
 //	rs.adj_rib_routes gauge     routes in the merged Adj-RIB-In
 //	rs.loc_rib_routes gauge     best routes across all participant views
@@ -295,9 +276,6 @@ func (s *Server) AddParticipant(cfg ParticipantConfig) error {
 				v.except = slices.Concat(v.except[:i], []viewerBest{{cfg.AS, best}}, v.except[i:])
 				sh.views[prefix] = v
 			}
-			if best != nil && cfg.Advertise != nil {
-				cfg.Advertise(prefix, best)
-			}
 		}
 		sh.mu.Unlock()
 	}
@@ -323,8 +301,9 @@ func (s *Server) registered(as uint32) bool {
 }
 
 // RemoveParticipant withdraws every route learned from the participant and
-// deregisters it, returning the resulting events for other participants.
-func (s *Server) RemoveParticipant(as uint32) []Event {
+// deregisters it, returning the prefixes whose best route changed for
+// another participant, sorted.
+func (s *Server) RemoveParticipant(as uint32) []iputil.Prefix {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	delete(s.participants, as)
@@ -333,11 +312,12 @@ func (s *Server) RemoveParticipant(as uint32) []Event {
 }
 
 // FlushPeer withdraws every route learned from the participant while
-// keeping it registered, returning the resulting events — the route
-// server's half of session-flap degradation: a peer whose BGP session
-// stayed down past the controller's age-out loses its routes, but can
-// re-announce them on the next session without re-registering.
-func (s *Server) FlushPeer(as uint32) []Event {
+// keeping it registered, returning the prefixes whose best route changed,
+// sorted — the route server's half of session-flap degradation: a peer
+// whose BGP session stayed down past the controller's age-out loses its
+// routes, but can re-announce them on the next session without
+// re-registering.
+func (s *Server) FlushPeer(as uint32) []iputil.Prefix {
 	s.pmu.RLock()
 	defer s.pmu.RUnlock()
 	return s.removePeerRoutes(as, false)
@@ -347,10 +327,10 @@ func (s *Server) FlushPeer(as uint32) []Event {
 // parallel, rerunning the decision process over the affected prefixes.
 // dropView additionally discards the participant's own exceptions
 // (deregistration). Caller holds pmu.
-func (s *Server) removePeerRoutes(as uint32, dropView bool) []Event {
+func (s *Server) removePeerRoutes(as uint32, dropView bool) []iputil.Prefix {
 	t := telemetry.StartTimer(s.mDecisionNS)
 	ases := *s.viewers.Load()
-	var results [bgp.RIBShards][]Event
+	var results [bgp.RIBShards]shardChanges
 	var wg sync.WaitGroup
 	for si := range s.shards {
 		wg.Add(1)
@@ -372,10 +352,9 @@ func (s *Server) removePeerRoutes(as uint32, dropView bool) []Event {
 		}(si)
 	}
 	wg.Wait()
-	events := mergeEvents(&results)
+	changed := s.mergeChanges(&results)
 	t.Stop()
-	s.mBestChanges.Add(int64(len(events)))
-	return events
+	return changed
 }
 
 // Participants returns the registered AS numbers, sorted.
@@ -384,15 +363,14 @@ func (s *Server) Participants() []uint32 {
 }
 
 // Apply applies a batch of UPDATEs — possibly from many participants —
-// and returns the resulting best-route changes, sorted by (prefix,
-// participant). RIB mutations are partitioned by prefix shard and
-// applied concurrently, one goroutine per touched shard, each rerunning
-// the decision process over only its own affected prefixes; within a
-// shard, mutations apply in batch order, so the final state for every
-// (prefix, peer) pair is the last update in the batch that touched it.
-// Advertise callbacks fire before Apply returns (see ParticipantConfig
-// for their concurrency contract).
-func (s *Server) Apply(batch []PeerUpdate) []Event {
+// and returns the prefixes whose best route changed for at least one
+// registered participant, sorted. RIB mutations are partitioned by prefix
+// shard and applied concurrently, one goroutine per touched shard, each
+// rerunning the decision process over only its own affected prefixes;
+// within a shard, mutations apply in batch order, so the final state for
+// every (prefix, peer) pair is the last update in the batch that touched
+// it.
+func (s *Server) Apply(batch []PeerUpdate) []iputil.Prefix {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -424,7 +402,7 @@ func (s *Server) Apply(batch []PeerUpdate) []Event {
 
 	t := telemetry.StartTimer(s.mDecisionNS)
 	ases := *s.viewers.Load()
-	var results [bgp.RIBShards][]Event
+	var results [bgp.RIBShards]shardChanges
 	var wg sync.WaitGroup
 	for si := range perShard {
 		muts := perShard[si]
@@ -439,15 +417,14 @@ func (s *Server) Apply(batch []PeerUpdate) []Event {
 	}
 	//lint:ignore lockblock workers only read state pmu already guards (never acquire pmu themselves) and finish in bounded time; holding pmu across the join keeps the registry stable for the whole decision pass
 	wg.Wait()
-	events := mergeEvents(&results)
+	changed := s.mergeChanges(&results)
 	t.Stop()
-	s.mBestChanges.Add(int64(len(events)))
-	return events
+	return changed
 }
 
 // applyShard applies one shard's RIB mutations in order and reruns the
 // decision process over the prefixes that changed. Caller holds pmu.
-func (s *Server) applyShard(si int, muts []ribMutation, ases []uint32) []Event {
+func (s *Server) applyShard(si int, muts []ribMutation, ases []uint32) shardChanges {
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -467,26 +444,36 @@ func (s *Server) applyShard(si int, muts []ribMutation, ases []uint32) []Event {
 	return s.decideShardLocked(sh, affected, ases)
 }
 
+// shardChanges is one shard's share of a decision pass: the prefixes
+// whose best route changed for some viewer, and how many (viewer, prefix)
+// bests changed in all.
+type shardChanges struct {
+	prefixes []iputil.Prefix
+	viewers  int
+}
+
 // decideShardLocked replaces the views of the affected prefixes (all in
-// sh's shard) with fresh ones and reports, per registered viewer in ases,
-// every change between the old view's result and the new one, firing
-// Advertise callbacks for them. Caller holds pmu and sh.mu.
-func (s *Server) decideShardLocked(sh *locShard, affected []iputil.Prefix, ases []uint32) []Event {
-	var events []Event
+// sh's shard) with fresh ones and reports the prefixes where some
+// registered viewer in ases ends with a different best than the old view
+// gave it. Caller holds pmu and sh.mu.
+func (s *Server) decideShardLocked(sh *locShard, affected []iputil.Prefix, ases []uint32) shardChanges {
+	var out shardChanges
 	for _, prefix := range affected {
 		routes := s.adjIn.Routes(prefix)
 		old, cur := sh.views[prefix], view{best: bgp.Best(routes)}
+		n := 0
 		for _, as := range ases {
 			best := s.bestFor(as, prefix, routes, cur.best)
 			if best != cur.best {
 				cur.except = append(cur.except, viewerBest{as, best})
 			}
-			if prev := old.bestFor(as); prev != best {
-				events = append(events, Event{Participant: as, Prefix: prefix, Old: prev, New: best})
-				if adv := s.participants[as].cfg.Advertise; adv != nil {
-					adv(prefix, best)
-				}
+			if old.bestFor(as) != best {
+				n++
 			}
+		}
+		if n > 0 {
+			out.prefixes = append(out.prefixes, prefix)
+			out.viewers += n
 		}
 		if cur.best == nil {
 			delete(sh.views, prefix)
@@ -494,30 +481,28 @@ func (s *Server) decideShardLocked(sh *locShard, affected []iputil.Prefix, ases 
 			sh.views[prefix] = cur
 		}
 	}
-	return events
+	return out
 }
 
-// mergeEvents flattens per-shard event slices into one slice sorted by
-// (prefix, participant) — a deterministic order regardless of shard
-// scheduling.
-func mergeEvents(results *[bgp.RIBShards][]Event) []Event {
-	n := 0
+// mergeChanges flattens per-shard results into one sorted prefix list — a
+// deterministic order regardless of shard scheduling — and counts the
+// per-viewer changes into rs.best_changes. Shards hold disjoint prefixes,
+// so the list has no duplicates.
+func (s *Server) mergeChanges(results *[bgp.RIBShards]shardChanges) []iputil.Prefix {
+	n, viewers := 0, 0
 	for _, r := range results {
-		n += len(r)
+		n += len(r.prefixes)
+		viewers += r.viewers
 	}
+	s.mBestChanges.Add(int64(viewers))
 	if n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, n)
+	out := make([]iputil.Prefix, 0, n)
 	for _, r := range results {
-		out = append(out, r...)
+		out = append(out, r.prefixes...)
 	}
-	slices.SortFunc(out, func(a, b Event) int {
-		if c := a.Prefix.Compare(b.Prefix); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Participant, b.Participant)
-	})
+	slices.SortFunc(out, iputil.Prefix.Compare)
 	return out
 }
 

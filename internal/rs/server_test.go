@@ -30,7 +30,7 @@ func withdraw(prefixes ...string) *bgp.Update {
 
 // HandleUpdate applies one UPDATE received from participant `from`: Apply
 // with a one-element batch.
-func (s *Server) HandleUpdate(from uint32, u *bgp.Update) []Event {
+func (s *Server) HandleUpdate(from uint32, u *bgp.Update) []iputil.Prefix {
 	return s.Apply([]PeerUpdate{{From: from, Update: u}})
 }
 
@@ -48,7 +48,11 @@ func newServer(t *testing.T, ases ...uint32) *Server {
 func TestBestRoutePerParticipant(t *testing.T) {
 	s := newServer(t, 100, 200, 300)
 	s.HandleUpdate(200, announce([]string{"10.0.0.0/8"}, 200, 900))
-	events := s.HandleUpdate(300, announce([]string{"10.0.0.0/8"}, 300))
+	via200, _ := s.BestRoute(300, pfx("10.0.0.0/8"))
+	changed := s.HandleUpdate(300, announce([]string{"10.0.0.0/8"}, 300))
+	if len(changed) != 1 || changed[0] != pfx("10.0.0.0/8") {
+		t.Fatalf("changed prefixes: %v", changed)
+	}
 
 	// AS 100 should prefer the shorter path via 300.
 	best, ok := s.BestRoute(100, pfx("10.0.0.0/8"))
@@ -62,10 +66,8 @@ func TestBestRoutePerParticipant(t *testing.T) {
 	}
 	// The second announcement changed the best for 100 and 200 but for
 	// 300 the route via 200 stays (its own route is excluded).
-	for _, e := range events {
-		if e.Participant == 300 {
-			t.Fatalf("unexpected event for announcer's own view: %v", e)
-		}
+	if best != via200 {
+		t.Fatalf("announcer's own view changed: %v -> %v", via200, best)
 	}
 }
 
@@ -81,19 +83,13 @@ func TestWithdrawalFallsBack(t *testing.T) {
 	s.HandleUpdate(200, announce([]string{"10.0.0.0/8"}, 200))
 	s.HandleUpdate(300, announce([]string{"10.0.0.0/8"}, 300, 900))
 	// 100 prefers 200 (shorter). Withdraw it: falls back to 300.
-	events := s.HandleUpdate(200, withdraw("10.0.0.0/8"))
+	changed := s.HandleUpdate(200, withdraw("10.0.0.0/8"))
 	best, ok := s.BestRoute(100, pfx("10.0.0.0/8"))
 	if !ok || best.PeerAS != 300 {
 		t.Fatalf("after withdrawal best = %v", best)
 	}
-	found := false
-	for _, e := range events {
-		if e.Participant == 100 && e.New != nil && e.New.PeerAS == 300 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing fallback event, got %v", events)
+	if len(changed) != 1 || changed[0] != pfx("10.0.0.0/8") {
+		t.Fatalf("fallback not reported as a change, got %v", changed)
 	}
 	// Withdraw the last route: best disappears.
 	s.HandleUpdate(300, withdraw("10.0.0.0/8"))
@@ -104,8 +100,8 @@ func TestWithdrawalFallsBack(t *testing.T) {
 
 func TestWithdrawUnknownPrefixNoEvents(t *testing.T) {
 	s := newServer(t, 100, 200)
-	if events := s.HandleUpdate(200, withdraw("99.0.0.0/8")); len(events) != 0 {
-		t.Fatalf("events for unknown withdrawal: %v", events)
+	if changed := s.HandleUpdate(200, withdraw("99.0.0.0/8")); len(changed) != 0 {
+		t.Fatalf("changes for unknown withdrawal: %v", changed)
 	}
 }
 
@@ -151,36 +147,10 @@ func TestExportPolicyDenyAll(t *testing.T) {
 	}
 }
 
-func TestAdvertiseCallback(t *testing.T) {
-	s := New()
-	type adv struct {
-		prefix iputil.Prefix
-		route  *bgp.Route
-	}
-	var got []adv
-	s.AddParticipant(ParticipantConfig{AS: 100, RouterID: 100,
-		Advertise: func(p iputil.Prefix, r *bgp.Route) { got = append(got, adv{p, r}) }})
-	s.AddParticipant(ParticipantConfig{AS: 200, RouterID: 200})
-
-	s.HandleUpdate(200, announce([]string{"10.0.0.0/8"}, 200))
-	if len(got) != 1 || got[0].route == nil || got[0].route.PeerAS != 200 {
-		t.Fatalf("advertise after announce: %v", got)
-	}
-	s.HandleUpdate(200, withdraw("10.0.0.0/8"))
-	if len(got) != 2 || got[1].route != nil {
-		t.Fatalf("advertise after withdraw: %v", got)
-	}
-}
-
 func TestLateJoinerLearnsExistingRoutes(t *testing.T) {
 	s := newServer(t, 200)
 	s.HandleUpdate(200, announce([]string{"10.0.0.0/8", "20.0.0.0/8"}, 200))
-	var advs int
-	s.AddParticipant(ParticipantConfig{AS: 100, RouterID: 100,
-		Advertise: func(iputil.Prefix, *bgp.Route) { advs++ }})
-	if advs != 2 {
-		t.Fatalf("late joiner received %d advertisements, want 2", advs)
-	}
+	s.AddParticipant(ParticipantConfig{AS: 100, RouterID: 100})
 	if best := s.BestRoutes(100); len(best) != 2 {
 		t.Fatalf("late joiner Loc-RIB: %v", best)
 	}
@@ -190,13 +160,13 @@ func TestRemoveParticipantWithdrawsRoutes(t *testing.T) {
 	s := newServer(t, 100, 200, 300)
 	s.HandleUpdate(200, announce([]string{"10.0.0.0/8"}, 200))
 	s.HandleUpdate(300, announce([]string{"10.0.0.0/8"}, 300, 900))
-	events := s.RemoveParticipant(200)
+	changed := s.RemoveParticipant(200)
 	best, ok := s.BestRoute(100, pfx("10.0.0.0/8"))
 	if !ok || best.PeerAS != 300 {
 		t.Fatalf("after removal best = %v", best)
 	}
-	if len(events) == 0 {
-		t.Fatal("removal should emit events")
+	if len(changed) != 1 || changed[0] != pfx("10.0.0.0/8") {
+		t.Fatalf("removal changed %v, want [10.0.0.0/8]", changed)
 	}
 	if ps := s.Participants(); len(ps) != 2 {
 		t.Fatalf("Participants = %v", ps)
@@ -230,13 +200,13 @@ func TestUpdatesProcessedCounter(t *testing.T) {
 func TestReAnnouncementReplacesRoute(t *testing.T) {
 	s := newServer(t, 100, 200)
 	s.HandleUpdate(200, announce([]string{"10.0.0.0/8"}, 200, 900))
-	ev := s.HandleUpdate(200, announce([]string{"10.0.0.0/8"}, 200)) // better path
+	changed := s.HandleUpdate(200, announce([]string{"10.0.0.0/8"}, 200)) // better path
 	best, _ := s.BestRoute(100, pfx("10.0.0.0/8"))
 	if best.Attrs.PathLen() != 1 {
 		t.Fatalf("replacement not applied: %v", best)
 	}
-	if len(ev) == 0 {
-		t.Fatal("attribute change should emit an event")
+	if len(changed) == 0 {
+		t.Fatal("attribute change should be reported")
 	}
 }
 
@@ -246,9 +216,9 @@ func TestFlushPeerKeepsParticipant(t *testing.T) {
 	s.HandleUpdate(300, announce([]string{"10.0.0.0/8"}, 300))
 	s.HandleUpdate(300, announce([]string{"13.0.0.0/8"}, 300))
 
-	events := s.FlushPeer(300)
-	if len(events) == 0 {
-		t.Fatal("flushing a peer with live routes produced no events")
+	changed := s.FlushPeer(300)
+	if len(changed) != 2 {
+		t.Fatalf("flushing a peer with two live routes changed %v", changed)
 	}
 	// 10/8 falls back to the 200 path; 13/8 disappears entirely.
 	best, ok := s.BestRoute(100, pfx("10.0.0.0/8"))
@@ -267,8 +237,8 @@ func TestFlushPeerKeepsParticipant(t *testing.T) {
 	}
 
 	// Flushing a peer with nothing to flush is a quiet no-op.
-	if events := s.FlushPeer(100); len(events) != 0 {
-		t.Fatalf("empty flush produced events: %v", events)
+	if changed := s.FlushPeer(100); len(changed) != 0 {
+		t.Fatalf("empty flush changed %v", changed)
 	}
 }
 
@@ -314,7 +284,7 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 	for _, pu := range mkUpdates() {
 		serial.HandleUpdate(pu.From, pu.Update)
 	}
-	events := batched.Apply(mkUpdates())
+	changed := batched.Apply(mkUpdates())
 
 	for as := uint32(100); as < 105; as++ {
 		want, got := serial.BestRoutes(as), batched.BestRoutes(as)
@@ -339,11 +309,10 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 			serial.UpdatesProcessed(), batched.UpdatesProcessed())
 	}
 
-	// Events from one Apply come back sorted by (prefix, participant).
-	for i := 1; i < len(events); i++ {
-		c := events[i-1].Prefix.Compare(events[i].Prefix)
-		if c > 0 || (c == 0 && events[i-1].Participant >= events[i].Participant) {
-			t.Fatalf("events out of order at %d: %v then %v", i, events[i-1], events[i])
+	// The prefixes one Apply changed come back sorted, each once.
+	for i := 1; i < len(changed); i++ {
+		if changed[i-1].Compare(changed[i]) >= 0 {
+			t.Fatalf("changed prefixes out of order at %d: %v then %v", i, changed[i-1], changed[i])
 		}
 	}
 }

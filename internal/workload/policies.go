@@ -7,6 +7,7 @@ import (
 	"sdx/internal/core"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
+	"sdx/internal/rs"
 )
 
 // Policies is one participant's SDX policy.
@@ -175,7 +176,7 @@ func Load(x *IXP) (*core.Controller, error) {
 		// table transfers, and feed the whole table through the batch-first
 		// ingestion API in one call per participant.
 		const batch = 500
-		var updates []*bgp.Update
+		var updates []rs.PeerUpdate
 		for start := 0; start < len(wp.Prefixes); start += batch {
 			end := min(start+batch, len(wp.Prefixes))
 			path := []uint32{wp.AS}
@@ -186,12 +187,12 @@ func Load(x *IXP) (*core.Controller, error) {
 			if len(wp.Ports) > 0 {
 				nh = wp.Ports[0].IP()
 			}
-			updates = append(updates, &bgp.Update{
+			updates = append(updates, rs.PeerUpdate{From: wp.AS, Update: &bgp.Update{
 				Attrs: &bgp.PathAttrs{ASPath: path, NextHop: nh},
 				NLRI:  wp.Prefixes[start:end],
-			})
+			}})
 		}
-		ctrl.ApplyUpdates(wp.AS, updates...)
+		ctrl.ApplyBatch(updates...)
 	}
 	return ctrl, nil
 }

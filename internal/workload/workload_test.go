@@ -3,6 +3,8 @@ package workload
 import (
 	"testing"
 	"time"
+
+	"sdx/internal/rs"
 )
 
 func TestNewIXPShape(t *testing.T) {
@@ -197,7 +199,7 @@ func TestTraceReplayAgainstController(t *testing.T) {
 	tr := GenerateTrace(x, DefaultTrace(500, 17))
 	additional := 0
 	for _, e := range tr.Events {
-		res := ctrl.ProcessUpdate(e.Peer, e.Update)
+		res := ctrl.ApplyBatch(rs.PeerUpdate{From: e.Peer, Update: e.Update})
 		additional += res.AdditionalRules
 	}
 	if additional == 0 {
