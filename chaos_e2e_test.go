@@ -131,12 +131,10 @@ func runChaos(t *testing.T, seed int64) {
 	// desynced-but-alive session must not be trusted to re-converge.
 	n.ResetTainted()
 
-	elapsed, err := d.WaitConvergedTimed(20 * time.Second)
-	if err != nil {
+	if err := d.WaitConvergedTimed(20 * time.Second); err != nil {
 		t.Fatalf("seed %d: post-heal convergence: %v\nreproduce with this schedule:\n%s",
 			seed, err, script)
 	}
-	benchConverge.Observe(int64(elapsed))
 	if err := d.VerifyTables(); err != nil {
 		t.Errorf("seed %d: post-heal tables: %v", seed, err)
 	}

@@ -2,9 +2,7 @@ package sdx_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,97 +14,7 @@ import (
 	"sdx/internal/pkt"
 	"sdx/internal/simnet"
 	"sdx/internal/simnet/chaostest"
-	"sdx/internal/telemetry"
 )
-
-// benchConverge aggregates every chaos run's fault-heal → steady-state
-// latency (virtual-clock ns) across the whole test binary; TestMain
-// writes its quantiles to the path in SDX_CHAOS_BENCH as the CI
-// BENCH_chaos.json artifact.
-var benchConverge = &telemetry.Histogram{}
-
-// The reconciler-only counterparts, aggregated across audit-disabled runs
-// and written to SDX_RECONCILE_BENCH as the CI BENCH_reconcile.json
-// artifact: fault-heal convergence driven by the reconciler alone, repair
-// issue latencies, and dataplane probe RTT/loss.
-var (
-	benchReconcileConverge = &telemetry.Histogram{}
-	benchRepairNS          = &telemetry.Histogram{}
-	benchProbeRTT          = &telemetry.Histogram{}
-	benchProbeSent         int64
-	benchProbeLost         int64
-)
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("SDX_CHAOS_BENCH"); path != "" && code == 0 {
-		if err := writeChaosBench(path); err != nil {
-			fmt.Fprintf(os.Stderr, "SDX_CHAOS_BENCH: %v\n", err)
-			code = 1
-		}
-	}
-	if path := os.Getenv("SDX_RECONCILE_BENCH"); path != "" && code == 0 {
-		if err := writeReconcileBench(path); err != nil {
-			fmt.Fprintf(os.Stderr, "SDX_RECONCILE_BENCH: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-func writeChaosBench(path string) error {
-	s := benchConverge.Snapshot()
-	doc := map[string]any{
-		"metric":  chaostest.ConvergeMetric,
-		"samples": s.Count,
-		"p50_ns":  s.P50,
-		"p95_ns":  s.P95,
-		"p99_ns":  s.P99,
-		"sum_ns":  s.Sum,
-		"buckets": s.Buckets,
-		"host":    map[string]any{"cpus": runtime.NumCPU(), "go": runtime.Version()},
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// quantiles renders one aggregated histogram as the bench-doc shape.
-func quantiles(h *telemetry.Histogram) map[string]any {
-	s := h.Snapshot()
-	return map[string]any{
-		"samples": s.Count,
-		"p50_ns":  s.P50,
-		"p95_ns":  s.P95,
-		"p99_ns":  s.P99,
-		"sum_ns":  s.Sum,
-	}
-}
-
-func writeReconcileBench(path string) error {
-	lossRate := 0.0
-	if benchProbeSent > 0 {
-		lossRate = float64(benchProbeLost) / float64(benchProbeSent)
-	}
-	doc := map[string]any{
-		"reconcile_converge_ns": quantiles(benchReconcileConverge),
-		"repair_ns":             quantiles(benchRepairNS),
-		"probe": map[string]any{
-			"rtt_ns":    quantiles(benchProbeRTT),
-			"sent":      benchProbeSent,
-			"lost":      benchProbeLost,
-			"loss_rate": lossRate,
-		},
-		"host": map[string]any{"cpus": runtime.NumCPU(), "go": runtime.Version()},
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
 
 // fabricTopo is the triangle fabric: three switches, a participant port
 // subset on each, and redundant trunks (every pair directly linked).
@@ -339,14 +247,17 @@ func probeFabric(t *testing.T, seed int64, fd *chaostest.FabricDeployment, probe
 // least one asymmetric partition, and post-heal state plus end-to-end
 // delivery equal to the fault-free run. Failures carry the seed.
 //
-// With reconcilerOnly set (opts must disable the audit and start the
-// reconciler loop), post-heal convergence is attributed to the reconciler:
-// the anti-entropy channel bounce never fires, so silently lost flow-mods
-// heal only through reconcile passes, and the heal latency is recorded
-// into ReconcileConvergeMetric instead of ConvergeMetric.
-func runFabricChaos(t *testing.T, seed int64, specs []chaostest.PeerSpec, probes []fabricProbe, ports map[sdx.PortID]string, opts chaostest.Options, reconcilerOnly bool) {
+// Installed tables heal only as sdxd heals them: the continuous
+// reconciler repairs flow-mods lost into a one-way partition, and the
+// dataplane liveness prober must report every participant port pair
+// healthy once forwarding is restored.
+func runFabricChaos(t *testing.T, seed int64, specs []chaostest.PeerSpec, probes []fabricProbe, ports map[sdx.PortID]string) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
+	opts := chaostest.Options{
+		ReconcileInterval: 25 * time.Millisecond,
+		ProbeInterval:     40 * time.Millisecond,
+	}
 
 	goldenNet := simnet.New(seed)
 	golden, err := chaostest.StartFabric(goldenNet, seed, specs, fabricTopo(ports), opts)
@@ -392,19 +303,8 @@ func runFabricChaos(t *testing.T, seed int64, specs []chaostest.PeerSpec, probes
 	}
 	n.ResetTainted()
 
-	var elapsed time.Duration
-	if reconcilerOnly {
-		elapsed, err = fd.WaitReconcileConvergedTimed(30 * time.Second)
-	} else {
-		elapsed, err = fd.WaitConvergedTimed(30 * time.Second)
-	}
-	if err != nil {
+	if err := fd.WaitConvergedTimed(30 * time.Second); err != nil {
 		t.Fatalf("seed %d: post-heal convergence: %v\nreproduce with this schedule:\n%s", seed, err, script)
-	}
-	if reconcilerOnly {
-		benchReconcileConverge.Observe(int64(elapsed))
-	} else {
-		benchConverge.Observe(int64(elapsed))
 	}
 	if err := fd.VerifyTables(); err != nil {
 		t.Errorf("seed %d: post-heal tables: %v", seed, err)
@@ -432,31 +332,21 @@ func runFabricChaos(t *testing.T, seed int64, specs []chaostest.PeerSpec, probes
 	probeFabric(t, seed, fd, probes, "faulted")
 
 	reg := fd.Ctrl.Metrics()
-	if reconcilerOnly {
-		if c := reg.Histogram(chaostest.ReconcileConvergeMetric).Count(); c < 1 {
-			t.Errorf("seed %d: no %s sample recorded for the post-heal convergence", seed, chaostest.ReconcileConvergeMetric)
+	if c := reg.Histogram(chaostest.ConvergeMetric).Count(); c < 1 {
+		t.Errorf("seed %d: no %s sample recorded for the post-heal convergence", seed, chaostest.ConvergeMetric)
+	}
+	if p := reg.Counter("reconcile.passes").Value(); p == 0 {
+		t.Errorf("seed %d: reconciler loop never ran a pass", seed)
+	}
+	// The dataplane liveness probes must recover along with the tables:
+	// every pair healthy once forwarding is restored.
+	deadline := time.Now().Add(15 * time.Second)
+	for !fd.Prb.Healthy() {
+		if time.Now().After(deadline) {
+			t.Errorf("seed %d: probe pairs still unhealthy after heal: %+v", seed, fd.Prb.Health())
+			break
 		}
-		if p := reg.Counter("reconcile.passes").Value(); p == 0 {
-			t.Errorf("seed %d: reconciler loop never ran a pass", seed)
-		}
-		// The dataplane liveness probes must recover along with the
-		// tables: every pair healthy once forwarding is restored.
-		deadline := time.Now().Add(15 * time.Second)
-		for !fd.Prb.Healthy() {
-			if time.Now().After(deadline) {
-				t.Errorf("seed %d: probe pairs still unhealthy after heal: %+v", seed, fd.Prb.Health())
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		benchRepairNS.Merge(reg.Histogram("reconcile.repair_ns").Snapshot())
-		benchProbeRTT.Merge(reg.Histogram("probe.rtt_ns").Snapshot())
-		benchProbeSent += reg.Counter("probe.sent").Value()
-		benchProbeLost += reg.Counter("probe.lost").Value()
-	} else {
-		if c := reg.Histogram(chaostest.ConvergeMetric).Count(); c < 1 {
-			t.Errorf("seed %d: no %s sample recorded for the post-heal convergence", seed, chaostest.ConvergeMetric)
-		}
+		time.Sleep(50 * time.Millisecond)
 	}
 	fd.Stop()
 	n.Close()
@@ -470,37 +360,13 @@ var chaosFabricSeeds = []int64{5, 17, 29}
 // TestChaosFabricConvergence: the multiswitch workload across a
 // three-switch triangle fabric survives per-trunk, per-channel and
 // per-session faults — including one-direction partitions — and
-// converges back to the fault-free state, trunk band and cross-switch
-// delivery included.
+// converges back to the fault-free state through the reconciler, trunk
+// band and cross-switch delivery included.
 func TestChaosFabricConvergence(t *testing.T) {
 	ports := map[sdx.PortID]string{1: "s1", 2: "s2", 4: "s3"}
 	for _, seed := range chaosFabricSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runFabricChaos(t, seed, multiswitchSpecs(), multiswitchProbes(), ports, chaostest.Options{}, false)
-		})
-	}
-}
-
-// TestChaosFabricReconcilerOnly: the same workload and fault schedules
-// with the harness's anti-entropy channel bounce disabled — installed
-// tables heal only through the continuous reconciler, and the dataplane
-// liveness prober must report every participant pair healthy after the
-// heal. Heal latencies land in reconcile_converge_ns, reported separately
-// from the audit-driven chaos_converge_ns.
-func TestChaosFabricReconcilerOnly(t *testing.T) {
-	ports := map[sdx.PortID]string{1: "s1", 2: "s2", 4: "s3"}
-	seeds := chaosFabricSeeds
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	opts := chaostest.Options{
-		DisableAudit:      true,
-		ReconcileInterval: 25 * time.Millisecond,
-		ProbeInterval:     40 * time.Millisecond,
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runFabricChaos(t, seed, multiswitchSpecs(), multiswitchProbes(), ports, opts, true)
+			runFabricChaos(t, seed, multiswitchSpecs(), multiswitchProbes(), ports)
 		})
 	}
 }
@@ -515,7 +381,7 @@ func TestChaosFabricInboundTE(t *testing.T) {
 	ports := map[sdx.PortID]string{1: "s1", 2: "s2", 3: "s3", 4: "s3"}
 	for _, seed := range chaosFabricSeeds[:1] {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runFabricChaos(t, seed, inboundTESpecs(), inboundTEProbes(), ports, chaostest.Options{}, false)
+			runFabricChaos(t, seed, inboundTESpecs(), inboundTEProbes(), ports)
 		})
 	}
 }

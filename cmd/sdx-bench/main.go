@@ -28,60 +28,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|ablation|all")
 	seed := flag.Int64("seed", 1, "workload seed")
 	full := flag.Bool("full", false, "paper-scale parameters (slower)")
-	jsonOut := flag.Bool("json", false, "write the machine-readable benchmark baseline instead of text tables")
-	dataplaneOut := flag.Bool("dataplane", false, "benchmark the dataplane fast path (compiled engine + megaflow cache vs naive scan) and write its baseline")
-	scaleOut := flag.Bool("scale", false, "run the full-table scale benchmark (serial vs coalesced ingestion) and write its baseline")
-	flowOut := flag.Bool("flow", false, "benchmark the flow-analytics pipeline (sampler overhead, non-sampled allocs, RIB join latency) and write its baseline")
-	scaleCase := flag.String("scale-case", "", "with -scale: run only the named case (ci, participants1000)")
-	against := flag.String("against", "", "with -scale: compare the fresh report against this committed baseline and fail on >20% install-p95 regression")
-	outPath := flag.String("o", "", "output path (default BENCH_compile.json for -json, BENCH_dataplane.json for -dataplane, BENCH_scale.json for -scale)")
 	flag.Parse()
-
-	if *scaleOut {
-		path := *outPath
-		if path == "" {
-			path = "BENCH_scale.json"
-		}
-		if err := writeScaleReport(path, *scaleCase, *seed); err != nil {
-			log.Fatalf("scale baseline: %v", err)
-		}
-		if *against != "" {
-			if err := checkScaleRegression(path, *against); err != nil {
-				log.Fatalf("scale regression gate: %v", err)
-			}
-		}
-		return
-	}
-	if *flowOut {
-		path := *outPath
-		if path == "" {
-			path = "BENCH_flow.json"
-		}
-		if err := writeFlowReport(path, *seed); err != nil {
-			log.Fatalf("flow baseline: %v", err)
-		}
-		return
-	}
-	if *dataplaneOut {
-		path := *outPath
-		if path == "" {
-			path = "BENCH_dataplane.json"
-		}
-		if err := writeDataplaneReport(path, *seed); err != nil {
-			log.Fatalf("dataplane baseline: %v", err)
-		}
-		return
-	}
-	if *jsonOut {
-		path := *outPath
-		if path == "" {
-			path = "BENCH_compile.json"
-		}
-		if err := writeJSONReport(path, *seed, *full); err != nil {
-			log.Fatalf("bench baseline: %v", err)
-		}
-		return
-	}
 
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {

@@ -195,12 +195,8 @@ type Options struct {
 	// continuous dataplane liveness probe loop at that period (the
 	// single-switch deployment has no trunk band for probes to ride).
 	ProbeInterval time.Duration
-	// DisableAudit turns off the fabric deployment's anti-entropy
-	// channel bounce (the test-only audit inside Converged); installed
-	// state then heals only through the reconciler.
-	DisableAudit bool
-	// Logf, when non-nil, narrates audits, bounces, reconciler repairs
-	// and probe health transitions.
+	// Logf, when non-nil, narrates reconciler repairs and probe health
+	// transitions.
 	Logf func(format string, args ...any)
 }
 
@@ -519,23 +515,24 @@ func (d *Deployment) WaitConverged(timeout time.Duration) error {
 // steady-state latencies, in virtual-clock nanoseconds.
 const ConvergeMetric = "chaos_converge_ns"
 
-// ReconcileConvergeMetric is the registry histogram recording fault-heal
-// to steady-state latencies for runs where the anti-entropy audit is
-// disabled and convergence is driven by the reconciler alone.
-const ReconcileConvergeMetric = "reconcile_converge_ns"
-
 // WaitConvergedTimed is WaitConverged called at the moment a fault heals:
 // it measures the virtual-clock latency until the convergence streak
 // begins and records it into the controller registry's ConvergeMetric
 // histogram, so a chaos run reports p50/p95/p99 convergence times that
 // are independent of the host's real-time load and the polling cadence's
 // confirmation checks.
-func (d *Deployment) WaitConvergedTimed(timeout time.Duration) (time.Duration, error) {
-	elapsed, err := waitConverged(d.Net.Clock(), timeout, d.Converged)
+func (d *Deployment) WaitConvergedTimed(timeout time.Duration) error {
+	return waitConvergedTimed(d.Net.Clock(), d.Ctrl, timeout, d.Converged)
+}
+
+// waitConvergedTimed is waitConverged recording its latency into the
+// controller registry's ConvergeMetric on success.
+func waitConvergedTimed(clock *simnet.Clock, ctrl *sdx.Controller, timeout time.Duration, conv func() error) error {
+	elapsed, err := waitConverged(clock, timeout, conv)
 	if err == nil {
-		d.Ctrl.Metrics().Histogram(ConvergeMetric).Observe(int64(elapsed))
+		ctrl.Metrics().Histogram(ConvergeMetric).Observe(int64(elapsed))
 	}
-	return elapsed, err
+	return err
 }
 
 // waitConverged polls conv until it holds on two consecutive checks or

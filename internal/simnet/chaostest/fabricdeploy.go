@@ -16,9 +16,8 @@
 // as the authoritative per-switch rule state: convergence requires every
 // remote table to be byte-identical to its model switch. Because writes
 // into a one-way partition vanish silently, a control channel can stay
-// alive while its flow-mods are lost; the convergence check doubles as an
-// anti-entropy audit that bounces any channel whose table stays diverged,
-// forcing the flush-and-replay resync.
+// alive while its flow-mods are lost; the reconciler (Rec) is what
+// repairs that drift, exactly as in sdxd.
 package chaostest
 
 import (
@@ -52,13 +51,6 @@ import (
 func SwitchListener(name string) string { return "switch-" + name }
 func SwitchTag(name string) string      { return "ofctl-" + name }
 
-// divergeBounce is how many consecutive Converged checks (20ms apart) a
-// remote table may stay diverged with a live channel before the channel
-// is bounced to force a full resync. The grace absorbs in-flight
-// flow-mods; silent loss into a one-way partition never self-heals
-// without the bounce.
-const divergeBounce = 8
-
 // FabricDeployment is a multi-switch SDX stack wired over one simnet
 // Network.
 type FabricDeployment struct {
@@ -79,7 +71,6 @@ type FabricDeployment struct {
 	Prb *probe.Prober
 
 	specs     []PeerSpec
-	opts      Options
 	topo      fabric.Topology
 	names     []string // sorted switch names
 	remote    map[string]*dataplane.Switch
@@ -89,7 +80,6 @@ type FabricDeployment struct {
 	reds       map[string]*openflow.Redialer
 	mu         sync.Mutex
 	sinks      map[*openflow.Client]core.RuleSink
-	diverge    map[string]int
 	gens       map[string]uint64 // per-switch channel/table generation
 	appDeliver map[pkt.PortID]func(pkt.Packet)
 
@@ -135,13 +125,11 @@ func StartFabric(n *simnet.Network, seed int64, specs []PeerSpec, topo fabric.To
 		Model:      model,
 		Peers:      make(map[uint32]*Peer),
 		specs:      specs,
-		opts:       opts,
 		topo:       topo,
 		remote:     make(map[string]*dataplane.Switch),
 		portSw:     make(map[pkt.PortID]string, len(topo.Ports)),
 		reds:       make(map[string]*openflow.Redialer),
 		sinks:      make(map[*openflow.Client]core.RuleSink),
-		diverge:    make(map[string]int),
 		gens:       make(map[string]uint64),
 		appDeliver: make(map[pkt.PortID]func(pkt.Packet)),
 		lns:        []*simnet.Listener{},
@@ -403,12 +391,6 @@ func (fd *FabricDeployment) escalateSwitch(name string) {
 // ReconcileOnce drives one deterministic reconciler pass.
 func (fd *FabricDeployment) ReconcileOnce() reconcile.Summary { return fd.Rec.RunOnce() }
 
-func (fd *FabricDeployment) logf(format string, args ...any) {
-	if fd.opts.Logf != nil {
-		fd.opts.Logf(format, args...)
-	}
-}
-
 // Targets returns every faultable transport of the deployment with both
 // endpoints named, so GenScript schedules can partition any of them in
 // one direction only: BGP sessions, per-switch control channels and the
@@ -493,10 +475,8 @@ func (fd *FabricDeployment) ServerView(as uint32) []string {
 // Converged returns nil when every BGP session is Established, every
 // control channel is up, every peer's Loc-RIB matches the server view,
 // and every remote switch's table is byte-identical to the local model's.
-// A remote table that stays diverged while its channel is up has lost
-// flow-mods (one-way partition); after divergeBounce consecutive
-// observations the channel is closed so the redialer's resync replays
-// the full table, trunk band included.
+// It only observes: drift heals through the reconciler, not through this
+// check.
 func (fd *FabricDeployment) Converged() error {
 	for _, spec := range fd.specs {
 		if p := fd.Peers[spec.AS]; !p.Established() {
@@ -511,75 +491,17 @@ func (fd *FabricDeployment) Converged() error {
 				spec.AS, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 		}
 	}
-	var firstErr error
 	for _, name := range fd.names {
 		if fd.reds[name].Client() == nil {
-			// No audit while the channel resyncs.
-			if firstErr == nil {
-				firstErr = fmt.Errorf("switch %s: control channel down", name)
-			}
-			continue
+			return fmt.Errorf("switch %s: control channel down", name)
 		}
 		want, got := fd.ModelRules(name), fd.RemoteRules(name)
-		if strings.Join(want, "\n") == strings.Join(got, "\n") {
-			fd.mu.Lock()
-			fd.diverge[name] = 0
-			fd.mu.Unlock()
-			continue
-		}
-		if !fd.opts.DisableAudit {
-			fd.auditDiverged(name)
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("switch %s table diverges from model\n remote:\n  %s\n model:\n  %s",
+		if strings.Join(want, "\n") != strings.Join(got, "\n") {
+			return fmt.Errorf("switch %s table diverges from model\n remote:\n  %s\n model:\n  %s",
 				name, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 		}
 	}
-	return firstErr
-}
-
-// auditDiverged advances one switch's divergence streak and bounces its
-// live channel when the streak exceeds the in-flight grace. The bounce
-// is fenced by the switch's generation: the client and generation are
-// captured at the decision, and the close is skipped when the channel
-// has already been bounced and resynced in between — closing the fresh
-// channel would tear down the very resync that healed the divergence
-// (and, with the reconciler running, trample its repaired table).
-func (fd *FabricDeployment) auditDiverged(name string) {
-	fd.mu.Lock()
-	fd.diverge[name]++
-	bounce := fd.diverge[name] >= divergeBounce
-	if bounce {
-		fd.diverge[name] = 0
-	}
-	gen := fd.gens[name]
-	fd.mu.Unlock()
-	if !bounce {
-		return
-	}
-	c := fd.reds[name].Client()
-	// Log seam: the bounce decision is committed; a redialer resync may
-	// land between here and bounceAt (the regression test parks here).
-	fd.logf("chaostest: audit: switch %s table diverged %d consecutive checks, bouncing control channel", name, divergeBounce)
-	fd.bounceAt(name, c, gen)
-}
-
-// bounceAt closes the control-channel client captured at the bounce
-// decision unless the switch's generation has moved on — a moved
-// generation means the channel already bounced (or resynced) and the
-// captured decision is stale.
-func (fd *FabricDeployment) bounceAt(name string, c *openflow.Client, gen uint64) {
-	if c == nil {
-		return
-	}
-	fd.mu.Lock()
-	cur := fd.gens[name]
-	fd.mu.Unlock()
-	if cur != gen {
-		fd.logf("chaostest: audit: switch %s resynced under the bounce (gen %d -> %d), skipping stale bounce", name, gen, cur)
-		return
-	}
-	_ = c.Close()
+	return nil
 }
 
 // VerifyTables runs the semantic verifier (internal/verify) over every
@@ -617,24 +539,8 @@ func (fd *FabricDeployment) WaitConverged(timeout time.Duration) error {
 // WaitConvergedTimed is WaitConverged called at the moment a fault
 // heals; on success the fault-heal → steady-state latency is recorded
 // (virtual-clock) into the controller registry's ConvergeMetric.
-func (fd *FabricDeployment) WaitConvergedTimed(timeout time.Duration) (time.Duration, error) {
-	elapsed, err := waitConverged(fd.Net.Clock(), timeout, fd.Converged)
-	if err == nil {
-		fd.Ctrl.Metrics().Histogram(ConvergeMetric).Observe(int64(elapsed))
-	}
-	return elapsed, err
-}
-
-// WaitReconcileConvergedTimed is WaitConvergedTimed for audit-disabled
-// runs: the same convergence condition, recorded into
-// ReconcileConvergeMetric so reconciler-driven heal latencies are
-// reported separately from audit-driven ones.
-func (fd *FabricDeployment) WaitReconcileConvergedTimed(timeout time.Duration) (time.Duration, error) {
-	elapsed, err := waitConverged(fd.Net.Clock(), timeout, fd.Converged)
-	if err == nil {
-		fd.Ctrl.Metrics().Histogram(ReconcileConvergeMetric).Observe(int64(elapsed))
-	}
-	return elapsed, err
+func (fd *FabricDeployment) WaitConvergedTimed(timeout time.Duration) error {
+	return waitConvergedTimed(fd.Net.Clock(), fd.Ctrl, timeout, fd.Converged)
 }
 
 // --- trunk transport ---------------------------------------------------------
