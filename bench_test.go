@@ -152,23 +152,6 @@ func BenchmarkFig10UpdateTime(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation runs the design-choice ablations (DESIGN.md §3): the
-// reported metrics compare the full pipeline against variants with VNH
-// grouping or disjoint concatenation disabled.
-func BenchmarkAblation(b *testing.B) {
-	var rows []experiments.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Ablation(40, 100, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.Rules), r.Mode+"-rules")
-	}
-}
-
 // --- Hot-path micro-benchmarks ----------------------------------------------
 
 // BenchmarkProcessUpdate measures the controller's full fast path for a

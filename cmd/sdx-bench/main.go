@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|ablation|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|all")
 	seed := flag.Int64("seed", 1, "workload seed")
 	full := flag.Bool("full", false, "paper-scale parameters (slower)")
 	flag.Parse()
@@ -50,11 +50,10 @@ func main() {
 	run("fig8", func() error { return fig78(*seed, *full, true) })
 	run("fig9", func() error { return fig9(*seed, *full) })
 	run("fig10", func() error { return fig10(*seed, *full) })
-	run("ablation", func() error { return ablation(*seed, *full) })
 
 	if *exp != "all" {
 		switch *exp {
-		case "table1", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation":
+		case "table1", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9", "fig10":
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 			os.Exit(2)
@@ -215,25 +214,5 @@ func fig10(seed int64, full bool) error {
 			experiments.FormatDuration(r.Percentile(0.99)),
 			experiments.FormatDuration(r.Percentile(1.0)))
 	}
-	return nil
-}
-
-func ablation(seed int64, full bool) error {
-	participants, groups := 60, 150
-	if full {
-		participants, groups = 100, 300
-	}
-	rows, err := experiments.Ablation(participants, groups, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Ablation: pipeline variants on one exchange (%d participants, %d groups)\n", participants, groups)
-	fmt.Printf("%-10s %10s %10s %14s\n", "mode", "rules", "groups", "compile")
-	for _, r := range rows {
-		fmt.Printf("%-10s %10d %10d %14s\n",
-			r.Mode, r.Rules, r.Groups, r.CompileTime.Round(time.Millisecond))
-	}
-	fmt.Println("Expected: no-vnh explodes the rule count (the §4.2 motivation);")
-	fmt.Println("no-concat keeps the rules but raises compile cost.")
 	return nil
 }

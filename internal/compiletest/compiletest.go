@@ -319,7 +319,7 @@ func ProbePackets(ctrl *core.Controller, viewers, routes int) []Probe {
 // legitimately move an un-grouped prefix from the fast band back to L2
 // forwarding, but the egress port must not change. Because keys carry no
 // VNH/VMAC bytes, Outcomes taken before and after a full recompilation —
-// or after a per-prefix (CompileNaiveDstIP) one — must be equal.
+// or after the per-prefix reference lowering — must be equal.
 func Outcomes(ctrl *core.Controller, viewers, routes int) map[string]string {
 	out := make(map[string]string)
 	for _, pr := range ProbePackets(ctrl, viewers, routes) {

@@ -3,14 +3,12 @@ package compiletest
 import (
 	"fmt"
 	"testing"
-
-	"sdx/internal/core"
 )
 
-// TestDifferentialSerialVsParallel is the differential corpus: 200
+// TestDifferentialSerialVsParallel runs the differential corpus: 200
 // randomized IXP workloads. (The name predates the single policy
 // compiler; it is kept so per-case results stay comparable across
-// history.) Each case checks three properties:
+// history.) Each case checks two properties:
 //
 //   - Determinism: two controllers built from the same workload and fed
 //     the same BGP update trace produce byte-identical canonical
@@ -20,10 +18,10 @@ import (
 //     initial compile, after the burst replay through CompileFast, and
 //     after the post-burst recompilation; and forwarding with the fast
 //     band active equals forwarding after that recompilation.
-//   - Grouping is an optimisation: the forwarding outcomes of the §4.2
-//     VNH/VMAC pipeline equal those of the per-prefix lowering
-//     (CompileNaiveDstIP), an independent compilation that groups nothing,
-//     and a full recompilation afterwards restores them.
+//
+// The third property of the corpus, that grouping is an optimisation,
+// needs the test-only per-prefix lowering of package core; it is
+// core's TestDifferentialCorpus.
 func TestDifferentialSerialVsParallel(t *testing.T) {
 	for i := 0; i < CorpusSize; i++ {
 		t.Run(fmt.Sprintf("case%03d", i), func(t *testing.T) {
@@ -87,16 +85,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 				}
 			}
 
-			grouped := Outcomes(b.Ctrl, 4, 6)
-			if err := DiffOutcomes("forwarding", Outcomes(a.Ctrl, 4, 6), grouped); err != nil {
-				t.Fatal(err)
-			}
-			b.Ctrl.Recompile(core.CompileNaiveDstIP())
-			if err := DiffOutcomes("grouped-vs-per-prefix forwarding", grouped, Outcomes(b.Ctrl, 4, 6)); err != nil {
-				t.Fatal(err)
-			}
-			b.Ctrl.Recompile()
-			if err := DiffOutcomes("restored grouped forwarding", grouped, Outcomes(b.Ctrl, 4, 6)); err != nil {
+			if err := DiffOutcomes("forwarding", Outcomes(a.Ctrl, 4, 6), Outcomes(b.Ctrl, 4, 6)); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -2,17 +2,19 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"sdx/internal/core"
+	"sdx/internal/experiments"
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
 	"sdx/internal/router"
 )
 
 // TestNaiveModeForwardsIdentically verifies the §4.2 optimization is
-// semantics-preserving: compiling with per-prefix destination-IP rules
-// (VNH grouping disabled) forwards every probe exactly like the full
-// pipeline, while using strictly more rules.
+// semantics-preserving: the per-prefix lowering (RecompilePerPrefix, no
+// VNH grouping) forwards every probe exactly like the full pipeline,
+// while using strictly more rules.
 func TestNaiveModeForwardsIdentically(t *testing.T) {
 	f := newFig1(t)
 	f.setFig1Policies(t)
@@ -58,7 +60,7 @@ func TestNaiveModeForwardsIdentically(t *testing.T) {
 	full := f.ctrl.Recompile()
 	want := deliveries()
 
-	naive := f.ctrl.Recompile(core.CompileNaiveDstIP())
+	naive := core.RecompilePerPrefix(f.ctrl)
 	got := deliveries()
 	for i := range probes {
 		if got[i] != want[i] {
@@ -82,21 +84,32 @@ func TestNaiveModeForwardsIdentically(t *testing.T) {
 	}
 }
 
-// TestAblationKnobsPreserveSemantics runs the concat knob over the
-// Figure 1 probes.
-func TestAblationKnobsPreserveSemantics(t *testing.T) {
-	f := newFig1(t)
-	f.setFig1Policies(t)
-
-	check := func(mode string, opts ...core.CompileOption) {
-		t.Helper()
-		f.ctrl.Recompile(opts...)
-		got := f.sendAndExpect(t, f.a, tcp(ip("50.0.0.1"), ip("11.1.1.1"), 80), f.b1)
-		if got.DstMAC != core.PortMAC(2) {
-			t.Fatalf("%s: dstmac %v", mode, got.DstMAC)
-		}
-		f.sendAndExpect(t, f.a, tcp(ip("50.0.0.1"), ip("11.1.1.1"), 22), f.c)
+// BenchmarkAblation measures what §4.2's VNH/VMAC grouping saves on one
+// exchange (experiments.NewGroupedExchange at the EXPERIMENTS.md size):
+// each iteration runs a full pass and a per-prefix one. It reports both
+// rule counts, the group count they share, and the mean time of each
+// pass. §4.3.1's disjoint concatenation is measured on its own by
+// internal/policy's BenchmarkParallelComposition.
+func BenchmarkAblation(b *testing.B) {
+	ctrl, _, err := experiments.NewGroupedExchange(60, 150, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	check("no-concat", core.CompileWithoutConcat())
-	check("full")
+	b.ResetTimer()
+	var full, perPrefix core.CompileReport
+	var fullTime, perPrefixTime time.Duration
+	for i := 0; i < b.N; i++ {
+		full = ctrl.Recompile()
+		perPrefix = core.RecompilePerPrefix(ctrl)
+		fullTime += full.Elapsed
+		perPrefixTime += perPrefix.Elapsed
+	}
+	if perPrefix.Groups != full.Groups {
+		b.Fatalf("per-prefix pass saw %d groups, full pass %d", perPrefix.Groups, full.Groups)
+	}
+	b.ReportMetric(float64(full.Rules), "full-rules")
+	b.ReportMetric(float64(perPrefix.Rules), "per-prefix-rules")
+	b.ReportMetric(float64(full.Groups), "groups")
+	b.ReportMetric(float64(fullTime.Microseconds())/1e3/float64(b.N), "full-ms")
+	b.ReportMetric(float64(perPrefixTime.Microseconds())/1e3/float64(b.N), "per-prefix-ms")
 }

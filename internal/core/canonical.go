@@ -9,7 +9,7 @@ import (
 // with their VNH/VMAC assignments, then both bands rule by rule with
 // explicit priorities. Two results are byte-identical compilations iff
 // their canonical forms are equal, which is what the golden-file tests
-// and the serial-vs-parallel differential harness compare.
+// and the differential corpus compare.
 func (c *Compiled) Canonical() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "groups=%d band1=%d band2=%d\n", len(c.Groups), len(c.Band1), len(c.Band2))

@@ -90,21 +90,25 @@ func groupKey(owners []setOwner, g *PrefixGroup) string {
 // assignment a pure function of the group-key history — how many fast
 // compiles ran in between cannot shift indexFor's next allocation — which
 // is what lets a coalesced burst and the same updates applied one at a
-// time converge to byte-identical compiled output.
-const fastVNHBase = 1 << 19
+// time converge to byte-identical compiled output. vnhIndexes bounds the
+// whole space.
+const (
+	fastVNHBase = 1 << 19
+	vnhIndexes  = 1 << 20
+)
 
 // vnhTable persists (group key) -> allocation index across compilations.
 type vnhTable struct {
-	alloc *vnhAllocator // stable group indexes: 1 .. fastVNHBase-1
-	fast  *vnhAllocator // transient fast-path indexes: fastVNHBase ..
-	byKey map[string]uint32
+	alloc    *vnhAllocator // stable group indexes: 1 .. fastVNHBase-1
+	fastNext uint32        // next transient fast-path index: fastVNHBase .. vnhIndexes-1
+	byKey    map[string]uint32
 }
 
 func newVNHTable() *vnhTable {
 	return &vnhTable{
-		alloc: newVNHAllocator(),
-		fast:  &vnhAllocator{next: fastVNHBase},
-		byKey: make(map[string]uint32),
+		alloc:    newVNHAllocator(),
+		fastNext: fastVNHBase,
+		byKey:    make(map[string]uint32),
 	}
 }
 
@@ -119,25 +123,18 @@ func (t *vnhTable) indexFor(key string) uint32 {
 	return i
 }
 
-// fresh returns a brand-new allocation index (fast-path per-prefix VNHs),
-// drawn from the dedicated fast pool. Fast VNHs are garbage-collected
-// with the fast band at every full recompilation but their indexes are
-// never reused within a process; the pool holds 2^19 of them.
+// fresh returns a transient allocation index (fast-path per-prefix VNHs)
+// from the dedicated fast pool. Fast VNHs are garbage-collected with the
+// fast band at every full recompilation; the pool's 2^19 indexes are
+// drawn in order and cycle, so an index comes back only after 2^19 fast
+// compiles and never lands on a stable group index.
 func (t *vnhTable) fresh() uint32 {
-	vnh, _ := t.fast.Alloc()
-	return uint32(vnh - VNHSubnet.Addr())
-}
-
-// compileOptions are the ablation knobs of one full pass (every option
-// off reproduces the paper's full design).
-type compileOptions struct {
-	// NaiveDstIP disables the §4.2 VNH/VMAC grouping: outbound policies
-	// and default forwarding are lowered to one rule per destination
-	// prefix, the naive compilation whose rule explosion motivates the
-	// paper's multi-stage FIB.
-	NaiveDstIP bool
-	// DisableConcat forces cross-product parallel composition (§4.3.1).
-	DisableConcat bool
+	i := t.fastNext
+	t.fastNext++
+	if t.fastNext == vnhIndexes {
+		t.fastNext = fastVNHBase
+	}
+	return i
 }
 
 // compiler performs the §4 pipeline over a participant snapshot.
@@ -145,7 +142,6 @@ type compiler struct {
 	parts map[uint32]*Participant
 	view  RouteView
 	vnhs  *vnhTable
-	opts  compileOptions
 
 	// snap is this compiler's one reading of the Adj-RIB-In (materialize):
 	// it lives as long as the compiler does — one full pass, or one
@@ -261,21 +257,22 @@ func peerAS(r *bgp.Route) uint32 {
 // and default next hops from one Adj-RIB-In reading, FEC grouping, and
 // VNH assignment strictly in group order. setGroups[si] lists the groups
 // making up input set si.
-func (c *compiler) group() (out *Compiled, owners []setOwner, sets [][]iputil.Prefix, setGroups [][]int) {
+func (c *compiler) group() (out *Compiled, owners []setOwner, setGroups [][]int) {
 	owners = c.setOwners()
-	sets = c.materialize(owners)
+	sets := c.materialize(owners)
 	groups := MinDisjointSubsets(sets, func(p iputil.Prefix) uint32 { return peerAS(c.snap.GlobalBest(p)) })
-	out = &Compiled{Groups: groups, GroupIdx: make(map[iputil.Prefix]int)}
-	if !c.opts.NaiveDstIP {
-		out.VMACs = make([]pkt.MAC, len(groups))
-		out.VNHs = make([]iputil.Addr, len(groups))
-		for gi := range groups {
-			idx := c.vnhs.indexFor(groupKey(owners, &groups[gi]))
-			out.VMACs[gi] = VMAC(idx)
-			out.VNHs[gi] = VNHAddr(idx)
-			for _, p := range groups[gi].Prefixes {
-				out.GroupIdx[p] = gi
-			}
+	out = &Compiled{
+		Groups:   groups,
+		VMACs:    make([]pkt.MAC, len(groups)),
+		VNHs:     make([]iputil.Addr, len(groups)),
+		GroupIdx: make(map[iputil.Prefix]int),
+	}
+	for gi := range groups {
+		idx := c.vnhs.indexFor(groupKey(owners, &groups[gi]))
+		out.VMACs[gi] = VMAC(idx)
+		out.VNHs[gi] = VNHAddr(idx)
+		for _, p := range groups[gi].Prefixes {
+			out.GroupIdx[p] = gi
 		}
 	}
 	setGroups = make([][]int, len(sets))
@@ -284,17 +281,15 @@ func (c *compiler) group() (out *Compiled, owners []setOwner, sets [][]iputil.Pr
 			setGroups[si] = append(setGroups[si], gi)
 		}
 	}
-	return out, owners, sets, setGroups
+	return out, owners, setGroups
 }
 
 // Compile runs the full pipeline: policy sets, FEC grouping, VNH
 // assignment, the four policy transformations, and classifier generation.
-// Stage 2 and the two band heads compile concurrently on one shared
-// policy compiler.
+// Stage 2 and the two band heads compile concurrently.
 func (c *compiler) Compile() *Compiled {
-	out, owners, sets, setGroups := c.group()
-	comp := &policy.Compiler{DisableConcat: c.opts.DisableConcat}
-	c.assemble(out, owners, sets, setGroups, comp.Compile, true)
+	out, owners, setGroups := c.group()
+	c.assemble(out, owners, setGroups, true)
 	return out
 }
 
@@ -306,8 +301,8 @@ func (c *compiler) Compile() *Compiled {
 // empty. With concurrent set, stage 2 and the two heads compile on their
 // own goroutines, each band composing as soon as its head and stage 2
 // are ready, and assemble returns once all three are joined.
-func (c *compiler) assemble(out *Compiled, owners []setOwner, sets [][]iputil.Prefix, setGroups [][]int, compile func(policy.Policy) policy.Classifier, concurrent bool) {
-	stage1 := c.stage1Policy(ownerIndex(owners), setGroups, out.VMACs, sets)
+func (c *compiler) assemble(out *Compiled, owners []setOwner, setGroups [][]int, concurrent bool) {
+	stage1 := c.stage1Policy(ownerIndex(owners), setGroups, out.VMACs)
 	defaults := c.defaultPolicy(out.Groups, out.VMACs)
 	if stage1 == nil && defaults == nil {
 		return
@@ -328,14 +323,14 @@ func (c *compiler) assemble(out *Compiled, owners []setOwner, sets [][]iputil.Pr
 	s2ready := make(chan struct{})
 	run(func() {
 		defer close(s2ready)
-		s2 = compile(c.stage2Policy())
+		s2 = policy.Compile(c.stage2Policy())
 	})
 	band := func(head policy.Policy, dst *policy.Classifier) {
 		if head == nil {
 			return
 		}
 		run(func() {
-			h := compile(head)
+			h := policy.Compile(head)
 			<-s2ready
 			*dst = finalizeBand(policy.Then(h, s2))
 		})
@@ -357,18 +352,14 @@ func ownerIndex(owners []setOwner) map[setOwner]int {
 // stage1Policy builds the union of every participant's isolated,
 // BGP-augmented outbound policy (§4.1 transformations 1–2), or nil when no
 // participant has outbound terms.
-func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vmacs []pkt.MAC, sets [][]iputil.Prefix) policy.Policy {
+func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vmacs []pkt.MAC) policy.Policy {
 	var perParticipant []policy.Policy
 	for _, as := range sortedASNs(c.parts) {
 		p := c.parts[as]
 		var terms []policy.Policy
 		for i, t := range p.outbound {
 			if t.Action.Drop {
-				var ms []pkt.Match
-				for _, pp := range p.cfg.Ports {
-					ms = append(ms, t.Match.InPort(pp.ID))
-				}
-				terms = append(terms, policy.Seq(policy.Match(ms...), policy.FwdTo(PortDrop)))
+				terms = append(terms, policy.Seq(policy.Match(inPorts(p, t.Match)...), policy.FwdTo(PortDrop)))
 				continue
 			}
 			target := c.parts[t.Action.ToParticipant]
@@ -378,16 +369,7 @@ func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vm
 			if t.Action.NoBGPCheck {
 				// Middlebox redirection (§2): no BGP restriction, no
 				// VMAC constraint — just isolation by in-port.
-				var ms []pkt.Match
-				for _, pp := range p.cfg.Ports {
-					ms = append(ms, t.Match.InPort(pp.ID))
-				}
-				seq := []policy.Policy{policy.Match(ms...)}
-				if !t.Action.Mods.IsEmpty() {
-					seq = append(seq, policy.Modify(t.Action.Mods))
-				}
-				seq = append(seq, policy.FwdTo(target.vport))
-				terms = append(terms, policy.Seq(seq...))
+				terms = append(terms, forwardTerm(inPorts(p, t.Match), t.Action.Mods, target.vport))
 				continue
 			}
 			si, ok := ownerIdx[setOwner{as: as, term: i, target: t.Action.ToParticipant}]
@@ -395,32 +377,17 @@ func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vm
 				continue
 			}
 			// Isolation: guard by the participant's physical in-ports.
-			// BGP consistency: restrict to the eligible groups' VMACs
-			// (or, in the naive ablation, to per-prefix dstip matches).
+			// BGP consistency: restrict to the eligible groups' VMACs.
 			var ms []pkt.Match
-			if c.opts.NaiveDstIP {
-				for _, pp := range p.cfg.Ports {
-					for _, q := range sets[si] {
-						ms = append(ms, t.Match.InPort(pp.ID).DstIP(q))
-					}
-				}
-			} else {
-				gis := setGroups[si]
-				for _, pp := range p.cfg.Ports {
-					for _, gi := range gis {
-						ms = append(ms, t.Match.InPort(pp.ID).DstMAC(vmacs[gi]))
-					}
+			for _, pp := range p.cfg.Ports {
+				for _, gi := range setGroups[si] {
+					ms = append(ms, t.Match.InPort(pp.ID).DstMAC(vmacs[gi]))
 				}
 			}
 			if len(ms) == 0 {
 				continue // no eligible prefixes: the term never applies
 			}
-			seq := []policy.Policy{policy.Match(ms...)}
-			if !t.Action.Mods.IsEmpty() {
-				seq = append(seq, policy.Modify(t.Action.Mods))
-			}
-			seq = append(seq, policy.FwdTo(target.vport))
-			terms = append(terms, policy.Seq(seq...))
+			terms = append(terms, forwardTerm(ms, t.Action.Mods, target.vport))
 		}
 		if len(terms) > 0 {
 			perParticipant = append(perParticipant, policy.Union(terms...))
@@ -430,6 +397,25 @@ func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vm
 		return nil
 	}
 	return policy.Union(perParticipant...)
+}
+
+// inPorts guards m by each of p's physical in-ports (isolation).
+func inPorts(p *Participant, m pkt.Match) []pkt.Match {
+	ms := make([]pkt.Match, 0, len(p.cfg.Ports))
+	for _, pp := range p.cfg.Ports {
+		ms = append(ms, m.InPort(pp.ID))
+	}
+	return ms
+}
+
+// forwardTerm is one outbound term: match any of ms, apply mods, forward
+// to out.
+func forwardTerm(ms []pkt.Match, mods pkt.Mods, out pkt.PortID) policy.Policy {
+	seq := []policy.Policy{policy.Match(ms...)}
+	if !mods.IsEmpty() {
+		seq = append(seq, policy.Modify(mods))
+	}
+	return policy.Seq(append(seq, policy.FwdTo(out))...)
 }
 
 // stage2Policy builds the union of every participant's virtual-switch
@@ -547,17 +533,6 @@ func (c *compiler) defaultPolicy(groups []PrefixGroup, vmacs []pkt.MAC) policy.P
 		if owner == nil {
 			continue
 		}
-		if c.opts.NaiveDstIP {
-			// One rule per prefix instead of one per group — the §4.2
-			// motivation: this is what fills hardware tables.
-			for _, q := range groups[gi].Prefixes {
-				gpols = append(gpols, policy.Seq(
-					policy.Match(pkt.MatchAll.DstIP(q)),
-					policy.FwdTo(owner.vport),
-				))
-			}
-			continue
-		}
 		gpols = append(gpols, policy.Seq(
 			policy.Match(pkt.MatchAll.DstMAC(vmacs[gi])),
 			policy.FwdTo(owner.vport),
@@ -625,13 +600,11 @@ func (c *compiler) CompileFast(prefix iputil.Prefix) *Compiled {
 		VNHs:     []iputil.Addr{VNHAddr(idx)},
 		GroupIdx: map[iputil.Prefix]int{prefix: 0},
 	}
-	// Set si holds the (single) prefix and group iff si ∈ g.Sets.
-	sets := make([][]iputil.Prefix, len(owners))
+	// Set si holds the (single) group iff si ∈ g.Sets.
 	setGroups := make([][]int, len(owners))
 	for _, si := range g.Sets {
-		sets[si] = []iputil.Prefix{prefix}
 		setGroups[si] = []int{0}
 	}
-	c.assemble(out, owners, sets, setGroups, new(policy.Compiler).Compile, false)
+	c.assemble(out, owners, setGroups, false)
 	return out
 }

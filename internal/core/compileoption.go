@@ -1,14 +1,11 @@
 package core
 
 // CompileOption configures one Recompile pass, mirroring the
-// NewController(opts ...Option) pattern. The zero-option call
-// Recompile() runs the paper's full pipeline (VNH grouping, disjoint
-// concatenation).
+// NewController(opts ...Option) pattern. CompilePolicy is the only one.
 type CompileOption func(*compileConfig)
 
 // compileConfig is the resolved form of a Recompile call's options.
 type compileConfig struct {
-	opts     compileOptions
 	policies []policyChange
 }
 
@@ -16,19 +13,6 @@ type compileConfig struct {
 type policyChange struct {
 	as                uint32
 	inbound, outbound []Term
-}
-
-// CompileNaiveDstIP disables the §4.2 VNH/VMAC grouping: one rule per
-// destination prefix, the naive compilation whose rule explosion
-// motivates the paper's multi-stage FIB.
-func CompileNaiveDstIP() CompileOption {
-	return func(cfg *compileConfig) { cfg.opts.NaiveDstIP = true }
-}
-
-// CompileWithoutConcat forces full cross-product parallel composition
-// even for disjoint guarded policies (§4.3.1 ablation).
-func CompileWithoutConcat() CompileOption {
-	return func(cfg *compileConfig) { cfg.opts.DisableConcat = true }
 }
 
 // CompilePolicy installs a participant's policy before compiling, so

@@ -603,9 +603,8 @@ const (
 // compilation, atomic band swap, fast-band garbage collection, and
 // re-advertisement of exactly the prefixes whose advertised next hop moved
 // (movedNextHops) — a pass that changes no next hop advertises nothing.
-// Options select ablation knobs (CompileNaiveDstIP, CompileWithoutConcat)
-// or fold in policy changes first (CompilePolicy), under the same lock
-// hold as the pass; with no options it runs the paper's full design.
+// CompilePolicy options fold in policy changes first, under the same lock
+// hold as the pass.
 //
 // When a mirror can confirm what it applied (RuleBarrier) — a remote
 // fabric switch — the pass removes the retired fast band make before
@@ -675,8 +674,8 @@ func (c *Controller) awaitMirrors(sinks []RuleBarrier) {
 	}
 }
 
-// recompileLocked is the pass under c.mu. It reports whether it left the
-// retired fast band installed for retireFastBand to remove.
+// recompileLocked is the pass under c.mu: it folds in the CompilePolicy
+// changes, compiles, and hands the result to installLocked.
 func (c *Controller) recompileLocked(cfg compileConfig, t telemetry.Timer) (CompileReport, bool) {
 	for _, pc := range cfg.policies {
 		if _, err := c.validatePolicyLocked(pc.as, pc.inbound, pc.outbound); err != nil {
@@ -690,9 +689,16 @@ func (c *Controller) recompileLocked(cfg compileConfig, t telemetry.Timer) (Comp
 	c.m.fullCompiles.Inc()
 	c.tracer.Emit(telemetry.EventCompileStarted, 0, compileMode, 0)
 
-	comp := &compiler{parts: c.parts, view: c.rs, vnhs: c.vnhs, opts: cfg.opts}
-	compiled := comp.Compile()
+	comp := &compiler{parts: c.parts, view: c.rs, vnhs: c.vnhs}
+	return c.installLocked(comp.Compile(), t)
+}
 
+// installLocked installs a full pass's output under c.mu: both bands
+// swapped in locally and in every mirror, the fast band retired, VNH ARP
+// bindings registered, and the prefixes whose next hop moved advertised
+// again. It reports whether it left the retired fast band installed for
+// retireFastBand to remove.
+func (c *Controller) installLocked(compiled *Compiled, t telemetry.Timer) (CompileReport, bool) {
 	band1 := dataplane.EntriesFromClassifier(compiled.Band1, band1Base, cookieBand1)
 	band2 := dataplane.EntriesFromClassifier(compiled.Band2, band2Base, cookieBand2)
 	c.sw.Table().Replace(cookieBand1, band1)

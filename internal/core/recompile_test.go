@@ -220,3 +220,46 @@ func TestRecompileAdvertisesOnlyMovedNextHops(t *testing.T) {
 		t.Fatalf("idle pass after ungrouping advertised %v", got)
 	}
 }
+
+// TestFastVNHPoolStaysInFastHalf: the fast pool cycles within
+// [fastVNHBase, vnhIndexes). Started just below the top, fast compiles
+// keep drawing fast indexes — never a live group's, whose VMAC the fast
+// band would then claim — and every group VNH still resolves to its
+// group's VMAC.
+func TestFastVNHPoolStaysInFastHalf(t *testing.T) {
+	ctrl := ingestFixture(t, 3)
+	all := []iputil.Prefix{pfxI(1), pfxI(2), pfxI(3)}
+	ctrl.ApplyBatch(rs.PeerUpdate{From: 101, Update: announceU(101, 0, all...)})
+	if rep := ctrl.Recompile(CompilePolicy(100, nil, []Term{Fwd(pkt.MatchAll.DstPort(80), 101)})); rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	cur := ctrl.Compiled()
+	if len(cur.Groups) == 0 {
+		t.Fatal("no groups compiled")
+	}
+	live := make(map[uint32]bool)
+	for _, vnh := range cur.VNHs {
+		live[uint32(vnh-VNHSubnet.Addr())] = true
+	}
+
+	ctrl.vnhs.fastNext = vnhIndexes - 2
+	for i := 0; i < 6; i++ {
+		p := all[i%len(all)]
+		ctrl.ApplyBatch(rs.PeerUpdate{From: 101, Update: announceU(101, uint32(i+1), p)})
+		idx, ok := ctrl.fastPrefix[p]
+		if !ok {
+			t.Fatalf("update %d: %s took no fast VNH", i, p)
+		}
+		if idx < fastVNHBase || idx >= vnhIndexes {
+			t.Fatalf("update %d: fast index %#x outside the fast pool [%#x, %#x)", i, idx, fastVNHBase, vnhIndexes)
+		}
+		if live[idx] {
+			t.Fatalf("update %d: fast index %#x is a live group's", i, idx)
+		}
+		for gi, vnh := range cur.VNHs {
+			if mac, ok := ctrl.arpd.Resolve(vnh); !ok || mac != cur.VMACs[gi] {
+				t.Fatalf("update %d: ARP for group %d's VNH %s answers %v, want %v", i, gi, vnh, mac, cur.VMACs[gi])
+			}
+		}
+	}
+}

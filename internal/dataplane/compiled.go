@@ -3,7 +3,7 @@ package dataplane
 // The compiled match engine. A FlowTable's naive lookup is a linear scan
 // over the priority-ordered entry list — O(rules) per packet, the
 // per-packet bottleneck at production rule counts (~7k rules at 300
-// participants, per BENCH_compile). This file compiles a table snapshot
+// participants, sdx-bench -exp fig7). This file compiles a table snapshot
 // into a dispatch structure, the same classifier-to-dispatch step Open
 // vSwitch performs for the paper's deployment target and P4 formalizes
 // for hardware:

@@ -160,7 +160,7 @@ type Fig78Point struct {
 // NewGroupedExchange loads an IXP and installs the §6.1 policy mix plus
 // exactly `groups` single-prefix outbound terms so that the compiled
 // exchange has a controlled number of prefix groups: the workload behind
-// the Fig 7–10 experiments, the ablation table and the benchmarks.
+// the Fig 7–10 experiments and the benchmarks.
 func NewGroupedExchange(participants, groups int, seed int64) (*core.Controller, *workload.IXP, error) {
 	prefixes := groups * 2
 	if prefixes < 1000 {

@@ -32,7 +32,7 @@ func (r Rule) String() string {
 }
 
 // Classifier is an ordered rule list with first-match-wins semantics.
-// Classifiers produced by the Compiler are total: every packet matches some
+// Classifiers produced by Compile are total: every packet matches some
 // rule (the compiler appends wildcard drop rules as needed). A packet that
 // matches no rule is dropped.
 type Classifier []Rule
@@ -239,8 +239,8 @@ func ConcatDisjoint(cs ...Classifier) (Classifier, bool) {
 
 // concatDstIPGuarded is the prefix-guard variant: every reachable rule
 // must carry a destination-IP prefix and the prefixes must be pairwise
-// disjoint across classifiers (used by the naive per-prefix compilation
-// mode, where rule sets are huge but trivially disjoint).
+// disjoint across classifiers (per-prefix rule sets, which are huge but
+// trivially disjoint).
 func concatDstIPGuarded(cs []Classifier) (Classifier, bool) {
 	type guard struct {
 		p   iputil.Prefix

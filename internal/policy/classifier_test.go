@@ -182,6 +182,52 @@ func TestConcatDisjointMatchesParallel(t *testing.T) {
 	}
 }
 
+// BenchmarkParallelComposition measures §4.3.1's disjoint-policy
+// concatenation against the cross-product fold it replaces, on the shape
+// of the SDX's stage-1 union: one sub-classifier per participant, every
+// rule guarded by that participant's in-port. Compile always tries
+// ConcatDisjoint first; the cross-product is what it costs without it.
+func BenchmarkParallelComposition(b *testing.B) {
+	const participants, terms = 40, 8
+	subs := make([]Classifier, participants)
+	for i := range subs {
+		for j := 0; j < terms; j++ {
+			m := pkt.MatchAll.InPort(pkt.PortID(i + 1)).DstPort(uint16(1000 + j))
+			out := pkt.PortID(100 + (i+j)%participants)
+			subs[i] = append(subs[i], Rule{Match: m, Actions: []pkt.Action{pkt.Output(out)}})
+		}
+		subs[i] = append(subs[i], Rule{Match: pkt.MatchAll})
+	}
+	if _, ok := ConcatDisjoint(subs...); !ok {
+		b.Fatal("in-port guards are disjoint by construction")
+	}
+	for _, mode := range []struct {
+		name    string
+		compose func() Classifier
+	}{
+		{"concat", func() Classifier {
+			cat, _ := ConcatDisjoint(subs...)
+			return cat
+		}},
+		{"cross-product", func() Classifier {
+			acc := subs[0]
+			for _, s := range subs[1:] {
+				acc = parallelCompose(acc, s)
+			}
+			return acc
+		}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var c Classifier
+			for i := 0; i < b.N; i++ {
+				c = mode.compose()
+			}
+			b.ReportMetric(float64(len(c)), "rules")
+		})
+	}
+}
+
 func samePacketSet(a, b []pkt.Packet) bool {
 	key := func(ps []pkt.Packet) map[string]bool {
 		m := make(map[string]bool, len(ps))

@@ -6,21 +6,12 @@ import (
 	"sdx/internal/pkt"
 )
 
-// Compiler translates policies to classifiers, one node at a time, on the
-// calling goroutine. It keeps no classifier between calls: a
-// sub-classifier that several compositions share is compiled once by the
-// caller and composed with Then.
-//
-// The zero value is ready to use. Compile only reads the Compiler, so one
-// Compiler is safe for concurrent Compile calls.
-type Compiler struct {
-	// DisableConcat forces full cross-product parallel composition even
-	// for disjoint guarded policies (§4.3.1 ablation).
-	DisableConcat bool
-}
-
-// Compile translates a policy into an equivalent total classifier.
-func (c *Compiler) Compile(p Policy) Classifier {
+// Compile translates a policy into an equivalent total classifier, one
+// node at a time, on the calling goroutine. It keeps no classifier
+// between calls: a sub-classifier that several compositions share is
+// compiled once by the caller and composed with Then. Compile reads only
+// p, so concurrent calls are safe.
+func Compile(p Policy) Classifier {
 	switch n := p.(type) {
 	case *Filter:
 		return compileFilter(n)
@@ -33,11 +24,11 @@ func (c *Compiler) Compile(p Policy) Classifier {
 	case *Pass:
 		return Classifier{{Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Pass}}}
 	case *Parallel:
-		return c.compileParallel(n.Ps)
+		return compileParallel(n.Ps)
 	case *Sequential:
-		return c.compileSequential(n.Ps)
+		return compileSequential(n.Ps)
 	case *If:
-		return c.compileIf(n)
+		return compileIf(n)
 	default:
 		panic(fmt.Sprintf("policy: unknown node type %T", p))
 	}
@@ -60,7 +51,7 @@ func compileMod(n *Mod) Classifier {
 	return Classifier{{Match: pkt.MatchAll, Actions: []pkt.Action{{Mods: n.Mods, Out: pkt.OutNone}}}}
 }
 
-func (c *Compiler) compileParallel(ps []Policy) Classifier {
+func compileParallel(ps []Policy) Classifier {
 	if len(ps) == 0 {
 		return Classifier{{Match: pkt.MatchAll}}
 	}
@@ -69,9 +60,9 @@ func (c *Compiler) compileParallel(ps []Policy) Classifier {
 	// composition is concatenation (§4.3.1).
 	sub := make([]Classifier, len(ps))
 	for i, p := range ps {
-		sub[i] = c.Compile(p)
+		sub[i] = Compile(p)
 	}
-	if len(sub) > 1 && !c.DisableConcat {
+	if len(sub) > 1 {
 		if cat, ok := ConcatDisjoint(sub...); ok {
 			return cat
 		}
@@ -83,13 +74,13 @@ func (c *Compiler) compileParallel(ps []Policy) Classifier {
 	return acc
 }
 
-func (c *Compiler) compileSequential(ps []Policy) Classifier {
+func compileSequential(ps []Policy) Classifier {
 	if len(ps) == 0 {
 		return Classifier{{Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Pass}}}
 	}
-	acc := c.Compile(ps[0])
+	acc := Compile(ps[0])
 	for _, p := range ps[1:] {
-		acc = Then(acc, c.Compile(p))
+		acc = Then(acc, Compile(p))
 	}
 	return acc
 }
@@ -98,10 +89,10 @@ func (c *Compiler) compileSequential(ps []Policy) Classifier {
 // negation: the predicate's classifier partitions flow space into
 // pass-regions and drop-regions in priority order; pass-regions are crossed
 // with the then-classifier and drop-regions with the else-classifier.
-func (c *Compiler) compileIf(n *If) Classifier {
-	pred := c.Compile(n.Pred)
-	thenC := c.Compile(n.Then)
-	elseC := c.Compile(n.Else)
+func compileIf(n *If) Classifier {
+	pred := Compile(n.Pred)
+	thenC := Compile(n.Then)
+	elseC := Compile(n.Else)
 	var out Classifier
 	for _, pr := range pred {
 		branch := elseC

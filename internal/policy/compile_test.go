@@ -33,7 +33,7 @@ func TestAppSpecificPeeringExample(t *testing.T) {
 		Seq(Match(pkt.MatchAll.DstPort(80)), FwdTo(linkAB)),
 		Seq(Match(pkt.MatchAll.DstPort(443)), FwdTo(linkAC)),
 	)
-	c := new(Compiler).Compile(polA)
+	c := Compile(polA)
 
 	web := pkt.Packet{DstPort: 80}
 	if out := c.Eval(web); len(out) != 1 || out[0].InPort != linkAB {
@@ -59,7 +59,7 @@ func TestCrossProductExample(t *testing.T) {
 		Seq(Match(pkt.MatchAll.InPort(linkAB).SrcIP(pfx("0.0.0.0/1"))), FwdTo(portB1)),
 		Seq(Match(pkt.MatchAll.InPort(linkAB).SrcIP(pfx("128.0.0.0/1"))), FwdTo(portB2)),
 	)
-	c := new(Compiler).Compile(Seq(pa, pb))
+	c := Compile(Seq(pa, pb))
 
 	low := pkt.Packet{InPort: portA1, DstPort: 80, SrcIP: iputil.MustParseAddr("1.2.3.4")}
 	if out := c.Eval(low); len(out) != 1 || out[0].InPort != portB1 {
@@ -90,7 +90,7 @@ func TestLoadBalanceExample(t *testing.T) {
 				Modify(pkt.NoMods.SetDstIP(iputil.MustParseAddr("74.125.137.139")))),
 		),
 	)
-	c := new(Compiler).Compile(lb)
+	c := Compile(lb)
 
 	req := pkt.Packet{
 		SrcIP: iputil.MustParseAddr("96.25.160.55"),
@@ -118,7 +118,7 @@ func TestIfThenElse(t *testing.T) {
 		FwdTo(1),
 		FwdTo(2),
 	)
-	c := new(Compiler).Compile(p)
+	c := Compile(p)
 	if out := c.Eval(pkt.Packet{DstPort: 80}); len(out) != 1 || out[0].InPort != 1 {
 		t.Fatalf("then branch: %v", out)
 	}
@@ -130,7 +130,7 @@ func TestIfThenElse(t *testing.T) {
 func TestIfWithUnionPredicate(t *testing.T) {
 	pred := Match(pkt.MatchAll.DstIP(pfx("10.0.0.0/8")), pkt.MatchAll.DstIP(pfx("20.0.0.0/8")))
 	p := IfThenElse(pred, FwdTo(1), FwdTo(2))
-	c := new(Compiler).Compile(p)
+	c := Compile(p)
 	for _, tc := range []struct {
 		dst  string
 		want pkt.PortID
@@ -145,7 +145,7 @@ func TestIfWithUnionPredicate(t *testing.T) {
 }
 
 func TestEmptyFilterDropsAll(t *testing.T) {
-	c := new(Compiler).Compile(Match())
+	c := Compile(Match())
 	if out := c.Eval(pkt.Packet{}); len(out) != 0 {
 		t.Fatalf("empty filter -> %v", out)
 	}
@@ -153,7 +153,7 @@ func TestEmptyFilterDropsAll(t *testing.T) {
 
 func TestMulticastCompiles(t *testing.T) {
 	p := Union(FwdTo(1), FwdTo(2))
-	c := new(Compiler).Compile(p)
+	c := Compile(p)
 	out := c.Eval(pkt.Packet{})
 	if len(out) != 2 {
 		t.Fatalf("multicast -> %v", out)
@@ -167,7 +167,7 @@ func TestMulticastCompiles(t *testing.T) {
 func TestMulticastThenFilter(t *testing.T) {
 	// Multicast to two ports, then a filter that keeps only port 1.
 	p := Seq(Union(FwdTo(1), FwdTo(2)), Match(pkt.MatchAll.InPort(1)))
-	c := new(Compiler).Compile(p)
+	c := Compile(p)
 	out := c.Eval(pkt.Packet{})
 	if len(out) != 1 || out[0].InPort != 1 {
 		t.Fatalf("multicast+filter -> %v", out)
@@ -177,13 +177,13 @@ func TestMulticastThenFilter(t *testing.T) {
 func TestSeqModThenMatch(t *testing.T) {
 	// mod(dstport:=80) >> match(dstport=80) >> fwd(9) passes everything.
 	p := Seq(Modify(pkt.NoMods.SetDstPort(80)), Match(pkt.MatchAll.DstPort(80)), FwdTo(9))
-	c := new(Compiler).Compile(p)
+	c := Compile(p)
 	if out := c.Eval(pkt.Packet{DstPort: 22}); len(out) != 1 || out[0].InPort != 9 || out[0].DstPort != 80 {
 		t.Fatalf("mod-then-match -> %v", out)
 	}
 	// mod(dstport:=81) >> match(dstport=80) drops everything.
 	p = Seq(Modify(pkt.NoMods.SetDstPort(81)), Match(pkt.MatchAll.DstPort(80)), FwdTo(9))
-	c = new(Compiler).Compile(p)
+	c = Compile(p)
 	if out := c.Eval(pkt.Packet{DstPort: 80}); len(out) != 0 {
 		t.Fatalf("conflicting mod should drop: %v", out)
 	}
@@ -290,7 +290,7 @@ func TestCompileAgainstInterpreter(t *testing.T) {
 	g := &polGen{r: rand.New(rand.NewSource(99))}
 	for trial := 0; trial < 400; trial++ {
 		p := g.policy(2 + g.r.Intn(2))
-		c := new(Compiler).Compile(p)
+		c := Compile(p)
 		for probe := 0; probe < 100; probe++ {
 			in := g.packet()
 			want := p.Eval(in)
@@ -308,7 +308,7 @@ func TestCompileTotality(t *testing.T) {
 	g := &polGen{r: rand.New(rand.NewSource(123))}
 	for trial := 0; trial < 200; trial++ {
 		p := g.policy(2)
-		c := new(Compiler).Compile(p)
+		c := Compile(p)
 		for probe := 0; probe < 50; probe++ {
 			in := g.packet()
 			found := false
@@ -332,13 +332,13 @@ func BenchmarkCompileAppSpecificPeering(b *testing.B) {
 	)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		new(Compiler).Compile(polA)
+		Compile(polA)
 	}
 }
 
 func BenchmarkClassifierEval(b *testing.B) {
 	g := &polGen{r: rand.New(rand.NewSource(1))}
-	c := new(Compiler).Compile(g.policy(3))
+	c := Compile(g.policy(3))
 	in := g.packet()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -352,7 +352,6 @@ func BenchmarkClassifierEval(b *testing.B) {
 // once per pass. Heads include Sequential, Parallel and If nodes.
 func TestThenMatchesSeq(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	var c Compiler
 	for trial := 0; trial < 200; trial++ {
 		leaves := randLeaves(r, 4+r.Intn(8))
 		sub := func() Policy { return randPolicy(r, 3, leaves) }
@@ -368,28 +367,27 @@ func TestThenMatchesSeq(t *testing.T) {
 			a = sub()
 		}
 		b := sub()
-		want := c.Compile(Seq(a, b))
-		got := Then(c.Compile(a), c.Compile(b))
+		want := Compile(Seq(a, b))
+		got := Then(Compile(a), Compile(b))
 		if err := sameClassifier(want, got); err != nil {
 			t.Fatalf("trial %d: %v\na: %s\nb: %s", trial, err, a, b)
 		}
 	}
 }
 
-// TestParallelMatchesSerial: goroutines sharing one Compiler, each
-// compiling the same random policies, get rule-for-rule the classifiers a
-// sequential run of the same Compiler produces — at several goroutine
-// counts, with and without disjoint concatenation. Run it under -race:
-// the SDX pipeline compiles stage 2 and both band heads concurrently on
-// one shared Compiler.
+// TestParallelMatchesSerial: goroutines each compiling the same random
+// policies get rule-for-rule the classifiers a sequential run produces, at
+// several goroutine counts, with Compile and with the cross-product fold
+// in place of disjoint concatenation. Run it under -race: the SDX
+// pipeline compiles stage 2 and both band heads concurrently.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, mode := range []struct {
-			name     string
-			noConcat bool
+			name    string
+			compile func(Policy) Classifier
 		}{
-			{name: "full"},
-			{name: "noconcat", noConcat: true},
+			{"full", Compile},
+			{"noconcat", compileCrossProduct},
 		} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, mode.name), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(workers)*100 + 7))
@@ -397,10 +395,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 				for i := range ps {
 					ps[i] = randPolicy(r, 4, randLeaves(r, 5+r.Intn(10)))
 				}
-				c := &Compiler{DisableConcat: mode.noConcat}
 				want := make([]Classifier, len(ps))
 				for i, p := range ps {
-					want[i] = c.Compile(p)
+					want[i] = mode.compile(p)
 				}
 
 				got := make([][]Classifier, workers)
@@ -411,7 +408,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 						defer wg.Done()
 						got[w] = make([]Classifier, len(ps))
 						for i, p := range ps {
-							got[w][i] = c.Compile(p)
+							got[w][i] = mode.compile(p)
 						}
 					}()
 				}
@@ -428,8 +425,23 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// compileCrossProduct compiles p as Compile does, except that a top-level
+// union folds its branches with parallelCompose even where ConcatDisjoint
+// would apply: the composition the SDX pipeline takes without §4.3.1.
+func compileCrossProduct(p Policy) Classifier {
+	u, ok := p.(*Parallel)
+	if !ok || len(u.Ps) == 0 {
+		return Compile(p)
+	}
+	acc := Compile(u.Ps[0])
+	for _, q := range u.Ps[1:] {
+		acc = parallelCompose(acc, Compile(q))
+	}
+	return acc
+}
+
 // TestParallelConcurrentCompiles: the band-assembly pattern of the SDX
-// pipeline on one shared Compiler — a shared tail and several heads
+// pipeline — a shared tail and several heads
 // compiled on their own goroutines, each head composed with the tail by
 // Then once both are ready — yields what compiling each Seq(head, tail)
 // sequentially yields. Run it under -race.
@@ -439,13 +451,11 @@ func TestParallelConcurrentCompiles(t *testing.T) {
 	shared := randPolicy(r, 3, leaves)
 	heads := make([]Policy, 8)
 	want := make([]Classifier, len(heads))
-	var seq Compiler
 	for i := range heads {
 		heads[i] = randPolicy(r, 3, leaves)
-		want[i] = seq.Compile(Seq(heads[i], shared))
+		want[i] = Compile(Seq(heads[i], shared))
 	}
 
-	var c Compiler
 	var tail Classifier
 	tailReady := make(chan struct{})
 	got := make([]Classifier, len(heads))
@@ -454,13 +464,13 @@ func TestParallelConcurrentCompiles(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(tailReady)
-		tail = c.Compile(shared)
+		tail = Compile(shared)
 	}()
 	for i := range heads {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := c.Compile(heads[i])
+			h := Compile(heads[i])
 			<-tailReady
 			got[i] = Then(h, tail)
 		}()

@@ -72,8 +72,8 @@ func TestOptimizeIdempotent(t *testing.T) {
 	}
 }
 
-// TestConcatDstIPGuarded: the prefix-guard concat path used by the naive
-// compilation mode must agree with full parallel composition.
+// TestConcatDstIPGuarded: the prefix-guard concat path, which per-prefix
+// rule sets take, must agree with full parallel composition.
 func TestConcatDstIPGuarded(t *testing.T) {
 	mk := func(prefix string, out pkt.PortID) Classifier {
 		return Classifier{

@@ -5,7 +5,7 @@
 //
 // A policy denotes a function from a located packet to a set of located
 // packets (empty set = drop, singleton = unicast, larger sets = multicast).
-// Eval gives that denotation directly; a Compiler translates the policy to
+// Eval gives that denotation directly; Compile translates the policy to
 // an equivalent Classifier — an ordered rule list with first-match-wins
 // semantics that maps one-to-one onto OpenFlow-style flow tables.
 package policy

@@ -108,8 +108,8 @@ func GenerateChurn(x *IXP, cfg ChurnConfig) *Trace {
 	return tr
 }
 
-// ScaleProfile names a full-table-scale topology plus churn workload for
-// the scale benchmark (cmd/sdx-bench -scale) and CI.
+// ScaleProfile names a full-table-scale topology plus churn workload, the
+// trace sizes behind cmd/bgpgen -profile.
 type ScaleProfile struct {
 	Name         string
 	Participants int

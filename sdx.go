@@ -135,15 +135,9 @@ const (
 	EventSessionStateChange = telemetry.EventSessionStateChange
 )
 
-// Recompile options (ctrl.Recompile(sdx.CompileNaiveDstIP()), ...).
-var (
-	// CompileNaiveDstIP disables VNH grouping (one rule per prefix).
-	CompileNaiveDstIP = core.CompileNaiveDstIP
-	// CompileWithoutConcat disables disjoint concatenation.
-	CompileWithoutConcat = core.CompileWithoutConcat
-	// CompilePolicy folds a policy install into a Recompile call.
-	CompilePolicy = core.CompilePolicy
-)
+// CompilePolicy folds a policy install into a Recompile call, the only
+// Recompile option.
+var CompilePolicy = core.CompilePolicy
 
 // Packet-model types.
 type (
