@@ -87,6 +87,12 @@ func ListenBGP(ctrl *Controller, addr string, localAS uint32) (*BGPServer, error
 // seam that lets tests drive the real server over an in-memory
 // fault-injection transport instead of TCP.
 func ServeBGP(ctrl *Controller, ln net.Listener, localAS uint32) *BGPServer {
+	return serveBGP(ctrl, ln, localAS, nil)
+}
+
+// serveBGP is ServeBGP with the ingestion queue q (nil for none) attached
+// before the first session can connect.
+func serveBGP(ctrl *Controller, ln net.Listener, localAS uint32, q *UpdateQueue) *BGPServer {
 	s := &BGPServer{
 		ctrl: ctrl, localAS: localAS,
 		routerID: MustParseAddr("172.0.255.254"),
@@ -94,6 +100,7 @@ func ServeBGP(ctrl *Controller, ln net.Listener, localAS uint32) *BGPServer {
 		conns:    make(map[net.Conn]struct{}),
 		sessions: make(map[*bgp.Session]struct{}),
 		peers:    make(map[uint32]*bgp.Session),
+		queue:    q,
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()

@@ -23,6 +23,9 @@
 // Participants connect with any BGP-4 speaker (two-octet AS numbers) and
 // receive VNH-rewritten advertisements, exactly like the in-process
 // examples.
+//
+// The daemon is flag parsing and configuration loading around one
+// sdx.Exchange, the same assembly the chaos harnesses test.
 package main
 
 import (
@@ -37,241 +40,103 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"sdx"
-	"sdx/internal/dataplane"
-	"sdx/internal/flow"
 	"sdx/internal/openflow"
-	"sdx/internal/probe"
-	"sdx/internal/reconcile"
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:2179", "BGP listen address")
-	localAS := flag.Uint("as", 64512, "route server AS number")
-	configPath := flag.String("config", "", "exchange configuration file")
-	fabric := flag.String("fabric", "", "optional sdx-switch address to program over the control channel")
-	optimize := flag.Duration("optimize-interval", 5*time.Second, "background recompilation interval")
-	metricsAddr := flag.String("metrics", "", "HTTP observability address (serves /metrics, /metrics/text, /trace, /health); empty disables")
-	reconcileInterval := flag.Duration("reconcile-interval", time.Second, "continuous reconciler period against the external fabric's installed table (0 disables; requires -fabric)")
-	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "dataplane liveness probe period across participant port pairs (0 disables; requires -fabric)")
-	flowRate := flag.Int("flow-sample-rate", 1024, "sFlow-style 1-in-N packet sampling rate on the local dataplane (0 disables flow analytics)")
-	flowTopK := flag.Int("flow-topk", 16, "heavy-hitter top-k summary size for flow analytics")
-	flag.Parse()
-
-	ctrl := sdx.New(sdx.WithLogger(log.Printf))
-	var ana *flow.Analytics
-	if *flowRate > 0 {
-		// Sampled flow export: 1-in-N samples off the local switch's
-		// forwarding path into the analytics service, each flow joined
-		// against the route server's Loc-RIB best route. Served at /flows.
-		sampler := flow.NewSampler(0, ctrl.Metrics())
-		ctrl.Switch().Table().SetSampler(sampler, *flowRate)
-		resolver := flow.NewRIBResolver(ctrl.RouteServer(), time.Second, ctrl.Metrics())
-		ana = flow.NewAnalytics(flow.Config{SampleRate: *flowRate, TopK: *flowTopK},
-			sampler.Records(), resolver, ctrl.Metrics())
-		ana.SetLogger(log.Printf)
-		ana.Start()
-		log.Printf("flow analytics: sampling 1-in-%d, top-%d heavy hitters", *flowRate, *flowTopK)
-	}
-	var ports []sdx.PortID
-	if *configPath != "" {
-		var err error
-		if ports, err = loadConfig(ctrl, *configPath); err != nil {
-			log.Fatalf("config: %v", err)
-		}
-	}
-	fabricCtx, fabricStop := context.WithCancel(context.Background())
-	defer fabricStop()
-	var rec *reconcile.Reconciler
-	var prb *probe.Prober
-	if *fabric != "" {
-		// The control channel is kept alive by a redialer: whenever the
-		// channel dies, it reconnects with backoff and resyncs the full
-		// rule state (flush + band replay) through AddRuleMirror.
-		var gen atomic.Uint64
-		red := &openflow.Redialer{
-			Dial: func(context.Context) (*openflow.Client, error) {
-				return openflow.Dial(*fabric)
-			},
-			Logf: log.Printf,
-		}
-		red.OnUp = func(client *openflow.Client) {
-			// Remote table misses: deliver liveness probes that reached
-			// their destination port, answer ARP (VNH resolution), and
-			// fall back to normal L2 delivery via PACKET_OUT.
-			client.OnPacketIn = func(p sdx.Packet) {
-				if to, ok := probe.Destination(p); ok && to == p.InPort {
-					// The switch punted a probe delivered on its
-					// destination port: the forwarding path works.
-					prb.Deliver(p.InPort, p)
-					return
-				}
-				// PACKET_OUT failures mean the control channel died; the
-				// packet is dropped like any other table miss, and the
-				// channel's Done() is the reconnect signal. A probe that
-				// missed the tables rides the same normal-egress relay as
-				// any other packet.
-				if reply, ok := ctrl.HandleARP(p); ok {
-					_ = client.PacketOut(p.InPort, reply)
-					return
-				}
-				if egress, ok := ctrl.NormalEgress(p); ok {
-					_ = client.PacketOut(egress, p)
-				}
-			}
-			gen.Add(1)
-			ctrl.AddRuleMirror(openflow.Mirror{C: client})
-			log.Printf("fabric channel up, rule state resynced")
-		}
-		red.OnDown = func(client *openflow.Client, err error) {
-			gen.Add(1)
-			ctrl.RemoveRuleMirror(openflow.Mirror{C: client})
-			log.Printf("fabric channel down: %v", err)
-		}
-
-		// Continuous reconciler: read the installed table back over the
-		// control channel (DumpFlows), diff against the intended table,
-		// repair minimally, escalate to flush-and-replay on persistent
-		// drift. The generation counter fences repairs across reconnects.
-		rec = reconcile.New(reconcile.Config{
-			Interval: *reconcileInterval,
-			Registry: ctrl.Metrics(),
-			Logf:     log.Printf,
-		}, reconcile.Target{
-			Name:     "fabric",
-			Intended: func() []*dataplane.FlowEntry { return ctrl.Switch().Table().Entries() },
-			Installed: func() ([]*dataplane.FlowEntry, bool) {
-				c := red.Client()
-				if c == nil {
-					return nil, false
-				}
-				groups, err := c.DumpFlows()
-				if err != nil {
-					return nil, false
-				}
-				return openflow.EntriesFromGroups(groups), true
-			},
-			Sink: func() reconcile.Sink {
-				c := red.Client()
-				if c == nil {
-					return nil
-				}
-				return openflow.Mirror{C: c}
-			},
-			Generation: gen.Load,
-			Escalate: func() {
-				if c := red.Client(); c != nil {
-					ctrl.Resync(openflow.Mirror{C: c})
-				}
-			},
-		})
-
-		// Dataplane liveness prober: inject probes into the remote
-		// pipeline between every ordered pair of configured participant
-		// ports; the switch punts delivered probes back as PacketIns.
-		var pairs []probe.Pair
-		for _, from := range ports {
-			for _, to := range ports {
-				if from != to {
-					pairs = append(pairs, probe.Pair{From: from, To: to})
-				}
-			}
-		}
-		prb = probe.New(probe.Config{
-			Interval: *probeInterval,
-			Registry: ctrl.Metrics(),
-			Logf:     log.Printf,
-		}, func(port sdx.PortID, p sdx.Packet) bool {
-			c := red.Client()
-			if c == nil {
-				return false
-			}
-			return c.Inject(port, p) == nil
-		}, pairs...)
-
-		go func() { _ = red.Run(fabricCtx) }()
-		if *reconcileInterval > 0 {
-			rec.Start()
-			log.Printf("reconciler loop at %v", *reconcileInterval)
-		}
-		if *probeInterval > 0 && len(pairs) > 0 {
-			prb.Start()
-			log.Printf("liveness probing %d port pairs at %v", len(pairs), *probeInterval)
-		}
-		stats := func(f func(openflow.ChannelStats) uint64) func() int64 {
-			return func() int64 {
-				c := red.Client()
-				if c == nil {
-					return 0
-				}
-				return int64(f(c.ChannelStats()))
-			}
-		}
-		reg := ctrl.Metrics()
-		reg.RegisterGaugeFunc("openflow.flow_mods",
-			stats(func(s openflow.ChannelStats) uint64 { return s.FlowMods }))
-		reg.RegisterGaugeFunc("openflow.packet_outs",
-			stats(func(s openflow.ChannelStats) uint64 { return s.PacketOuts }))
-		reg.RegisterGaugeFunc("openflow.packet_ins",
-			stats(func(s openflow.ChannelStats) uint64 { return s.PacketIns }))
-		reg.RegisterGaugeFunc("openflow.echoes",
-			stats(func(s openflow.ChannelStats) uint64 { return s.Echoes }))
-		log.Printf("programming external fabric at %s", *fabric)
-	}
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatalf("metrics: %v", err)
-		}
-		go func() {
-			// Serve exits when the listener closes at process shutdown.
-			_ = http.Serve(ln, newMetricsMux(ctrl, rec, prb, ana))
-		}()
-		log.Printf("metrics at http://%s/metrics", ln.Addr())
-	}
-	rep := ctrl.Recompile()
-	log.Printf("initial compilation: %d groups, %d rules in %v", rep.Groups, rep.Rules, rep.Elapsed)
-
-	srv, err := sdx.ListenBGP(ctrl, *listen, uint32(*localAS))
+	d, err := start(os.Args[1:])
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		log.Fatal(err)
 	}
-	log.Printf("route server listening on %s (AS%d)", srv.Addr(), *localAS)
-
-	queue := sdx.NewUpdateQueue(ctrl, sdx.QueueConfig{})
-	srv.UseIngestQueue(queue)
-
-	// Background optimizer: recompile between update bursts (§4.3.2).
-	stopOptimizer := ctrl.StartOptimizer(*optimize)
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
+	d.stop()
+}
+
+// daemon is a running sdxd: the exchange and its observability endpoint.
+type daemon struct {
+	x       *sdx.Exchange
+	bgp     net.Addr
+	metrics net.Listener // nil without -metrics
+}
+
+// start parses the command line, loads the configuration and starts the
+// exchange.
+func start(args []string) (*daemon, error) {
+	fs := flag.NewFlagSet("sdxd", flag.ExitOnError)
+	listen := fs.String("listen", "127.0.0.1:2179", "BGP listen address")
+	localAS := fs.Uint("as", 64512, "route server AS number")
+	configPath := fs.String("config", "", "exchange configuration file")
+	fabric := fs.String("fabric", "", "optional sdx-switch address to program over the control channel")
+	optimize := fs.Duration("optimize-interval", 5*time.Second, "background recompilation interval")
+	metricsAddr := fs.String("metrics", "", "HTTP observability address (serves /metrics, /metrics/text, /trace, /health); empty disables")
+	reconcileInterval := fs.Duration("reconcile-interval", time.Second, "continuous reconciler period against the external fabric's installed table (0 disables; requires -fabric)")
+	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "dataplane liveness probe period across participant port pairs (0 disables; requires -fabric)")
+	flowRate := fs.Int("flow-sample-rate", 1024, "sFlow-style 1-in-N packet sampling rate on the local dataplane (0 disables flow analytics)")
+	flowTopK := fs.Int("flow-topk", 16, "heavy-hitter top-k summary size for flow analytics")
+	// ExitOnError: a bad command line exits 2 inside Parse, as flag.Parse does.
+	_ = fs.Parse(args)
+
+	ctrl := sdx.New(sdx.WithLogger(log.Printf))
+	if *configPath != "" {
+		if _, err := loadConfig(ctrl, *configPath); err != nil {
+			return nil, fmt.Errorf("config: %w", err)
+		}
+	}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return nil, fmt.Errorf("listen: %w", err)
+	}
+	cfg := sdx.ExchangeConfig{
+		Listener:          ln,
+		LocalAS:           uint32(*localAS),
+		Logf:              log.Printf,
+		OptimizeInterval:  *optimize,
+		ReconcileInterval: *reconcileInterval,
+		ProbeInterval:     *probeInterval,
+		FlowSampleRate:    *flowRate,
+		FlowTopK:          *flowTopK,
+	}
+	if addr := *fabric; addr != "" {
+		cfg.Dial = func(context.Context, string) (*openflow.Client, error) { return openflow.Dial(addr) }
+		log.Printf("programming external fabric at %s", addr)
+	}
+	x, err := sdx.StartExchange(ctrl, cfg)
+	if err != nil {
+		_ = ln.Close()
+		return nil, err
+	}
+	d := &daemon{x: x, bgp: ln.Addr()}
+	if *metricsAddr != "" {
+		if d.metrics, err = net.Listen("tcp", *metricsAddr); err != nil {
+			x.Stop()
+			return nil, fmt.Errorf("metrics: %w", err)
+		}
+		mux := newMetricsMux(ctrl, x.Reconciler(), x.Prober(), x.Analytics())
+		go func() {
+			// Serve exits when stop closes the listener.
+			_ = http.Serve(d.metrics, mux)
+		}()
+		log.Printf("metrics at http://%s/metrics", d.metrics.Addr())
+	}
+	return d, nil
+}
+
+func (d *daemon) stop() {
 	log.Printf("shutting down")
-	stopOptimizer()
-	if ana != nil {
-		ana.Stop()
+	d.x.Stop()
+	if d.metrics != nil {
+		_ = d.metrics.Close()
 	}
-	if prb != nil {
-		prb.Stop()
-	}
-	if rec != nil {
-		rec.Stop()
-	}
-	srv.Close()
-	queue.Stop()
-	st := queue.Stats()
-	log.Printf("ingestion queue: %d enqueued, %d coalesced, %d applied over %d drains",
-		st.Enqueued, st.Coalesced, st.Applied, st.Drains)
-	fabricStop()
 }
 
 // loadConfig installs the configuration into ctrl and returns the
-// physical participant ports it declared, in file order — the port set
-// the liveness prober pairs up.
+// physical participant ports it declared, in file order.
 func loadConfig(ctrl *sdx.Controller, path string) ([]sdx.PortID, error) {
 	f, err := os.Open(path)
 	if err != nil {

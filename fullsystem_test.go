@@ -13,6 +13,7 @@ package sdx
 // virtual next hops through genuine BGP UPDATE messages.
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -158,31 +159,43 @@ func TestFullSystemOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ofClient, err := openflow.Dial(ofLn.Addr().String())
+	bgpLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ofClient.Close()
-	// Table misses on the remote fabric go through the controller's
-	// normal L2 path and come back as PACKET_OUTs.
-	ofClient.OnPacketIn = func(p pkt.Packet) {
-		if egress, ok := ctrl.NormalEgress(p); ok {
-			ofClient.PacketOut(egress, p)
+	// The same Exchange sdxd runs: it programs the fabric over the
+	// control channel, and remote table misses take the controller's
+	// normal L2 path back as PACKET_OUTs.
+	x, err := StartExchange(ctrl, ExchangeConfig{
+		Listener: bgpLn,
+		LocalAS:  64512,
+		Dial: func(context.Context, string) (*openflow.Client, error) {
+			return openflow.Dial(ofLn.Addr().String())
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Stop()
+	barrier := func() {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			if c := x.Client(singleSwitch); c != nil && c.Barrier() == nil {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("control channel not up")
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	ofClient.Start()
-	ctrl.AddRuleMirror(openflow.Mirror{C: ofClient})
-
-	bgpSrv, err := ListenBGP(ctrl, "127.0.0.1:0", 64512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bgpSrv.Close()
+	barrier()
 
 	// --- border router processes ----------------------------------------
-	a := dialRouter(t, bgpSrv.Addr(), 100, PhysicalPort{ID: 1}, fabric)
-	b := dialRouter(t, bgpSrv.Addr(), 200, PhysicalPort{ID: 2}, fabric)
-	c := dialRouter(t, bgpSrv.Addr(), 300, PhysicalPort{ID: 4}, fabric)
+	a := dialRouter(t, bgpLn.Addr().String(), 100, PhysicalPort{ID: 1}, fabric)
+	b := dialRouter(t, bgpLn.Addr().String(), 200, PhysicalPort{ID: 2}, fabric)
+	c := dialRouter(t, bgpLn.Addr().String(), 300, PhysicalPort{ID: 4}, fabric)
 
 	p1 := MustParsePrefix("11.0.0.0/8")
 	b.announce(t, p1, 200, 900, 901)
@@ -211,9 +224,7 @@ func TestFullSystemOverTCP(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := ofClient.Barrier(); err != nil {
-		t.Fatal(err)
-	}
+	barrier()
 
 	// Web traffic: A -> fabric -> B (policy). The packet traverses only
 	// the remote switch programmed via FLOW_MODs.
@@ -242,9 +253,7 @@ func TestFullSystemOverTCP(t *testing.T) {
 	deadline = time.Now().Add(3 * time.Second)
 	moved := false
 	for !moved && time.Now().Before(deadline) {
-		if err := ofClient.Barrier(); err != nil {
-			t.Fatal(err)
-		}
+		barrier()
 		a.send(t, ctrl.ARP(), MustParseAddr("11.1.1.1"), 80)
 		if len(c.take(t)) == 1 {
 			moved = true

@@ -337,9 +337,6 @@ func Outcomes(ctrl *core.Controller, viewers, routes int) map[string]string {
 // cache — so cache hits are verified as well as trie dispatch.
 func (in *Instance) VerifyEngine(viewers, routes int) error {
 	table := in.Ctrl.Switch().Table()
-	prev := table.Compiled()
-	table.SetCompiled(true)
-	defer table.SetCompiled(prev)
 	for _, pr := range ProbePackets(in.Ctrl, viewers, routes) {
 		want := table.LookupNaive(pr.P)
 		for _, label := range []string{"cold", "warm"} {

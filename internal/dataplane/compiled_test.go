@@ -82,7 +82,6 @@ func TestCompiledLookupEquivalence(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)*101 + 7))
 		tbl := NewFlowTable()
-		tbl.SetCompiled(true)
 		var es []*FlowEntry
 		for i := 0; i < 1+r.Intn(120); i++ {
 			es = append(es, randEntry(r))
@@ -106,7 +105,6 @@ func TestCompiledLookupEquivalence(t *testing.T) {
 func TestCompiledProcessEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	tbl := NewFlowTable()
-	tbl.SetCompiled(true)
 	var es []*FlowEntry
 	for i := 0; i < 80; i++ {
 		es = append(es, randEntry(r))
@@ -162,7 +160,6 @@ func TestCacheInvalidationOnEveryMutation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := NewFlowTable()
-			tbl.SetCompiled(true)
 			tbl.Add(low())
 			// Warm both the engine and the megaflow cache on the old table.
 			for i := 0; i < 3; i++ {
@@ -476,7 +473,6 @@ func TestInstallsPastCacheCapacity(t *testing.T) {
 // must agree again.
 func TestConcurrentMutateWhileLookup(t *testing.T) {
 	tbl := NewFlowTable()
-	tbl.SetCompiled(true)
 	r := rand.New(rand.NewSource(4))
 	var seed []*FlowEntry
 	for i := 0; i < 50; i++ {
@@ -641,7 +637,6 @@ var seed2Entries = func() []*FlowEntry {
 // and the batched form — performs zero allocations per packet.
 func TestLookupZeroAllocWarm(t *testing.T) {
 	tbl := NewFlowTable()
-	tbl.SetCompiled(true)
 	r := rand.New(rand.NewSource(31))
 	// Every entry pins InPort to 0..7 so a packet on port 200 is a
 	// guaranteed miss; destinations spread over random /24s.
@@ -729,7 +724,6 @@ func TestRevalidationZeroAlloc(t *testing.T) {
 // corrupt it for other callers.
 func TestDropPathSharedVerdict(t *testing.T) {
 	tbl := NewFlowTable()
-	tbl.SetCompiled(true)
 	tbl.Add(&FlowEntry{Priority: 1, Match: pkt.MatchAll})
 	out := tbl.Process(pkt.Packet{})
 	if out == nil || len(out) != 0 {
@@ -745,39 +739,9 @@ func TestDropPathSharedVerdict(t *testing.T) {
 	}
 }
 
-// TestSetCompiledToggle: the naive toggle must route lookups through the
-// linear scan (no cache) while SetCompiled(true) restores the fast path,
-// with identical verdicts either way.
-func TestSetCompiledToggle(t *testing.T) {
-	tbl := NewFlowTable()
-	tbl.SetCompiled(false)
-	if tbl.Compiled() {
-		t.Fatal("SetCompiled(false) ignored")
-	}
-	tbl.Add(&FlowEntry{Priority: 1, Match: pkt.MatchAll.DstPort(80), Actions: []pkt.Action{pkt.Output(3)}})
-	p := pkt.Packet{DstPort: 80}
-	hits := tbl.Stats().Hits + tbl.Stats().Misses
-	tbl.Lookup(p)
-	tbl.Lookup(p)
-	if got := tbl.Stats().Hits + tbl.Stats().Misses; got != hits {
-		t.Fatalf("naive mode touched the megaflow cache (%d -> %d lookups)", hits, got)
-	}
-	tbl.SetCompiled(true)
-	if !tbl.Compiled() {
-		t.Fatal("SetCompiled(true) ignored")
-	}
-	if e := tbl.Lookup(p); e == nil || e.Actions[0].Out != 3 {
-		t.Fatalf("compiled lookup = %v", e)
-	}
-	if tbl.Stats().Hits+tbl.Stats().Misses == hits {
-		t.Fatal("compiled mode bypassed the megaflow cache")
-	}
-}
-
 // TestCacheCapacityBound: the cache never exceeds its configured bound.
 func TestCacheCapacityBound(t *testing.T) {
 	tbl := NewFlowTable()
-	tbl.SetCompiled(true)
 	tbl.SetCacheCapacity(8) // 8 per shard, 16 shards -> ≤128 verdicts
 	tbl.Add(&FlowEntry{Priority: 1, Match: pkt.MatchAll, Actions: []pkt.Action{pkt.Output(1)}})
 	for i := 0; i < 10000; i++ {

@@ -70,14 +70,14 @@ func deltaSum(before, after counterSnap) uint64 {
 
 // TestCounterMonotonicityProperty replays corpus workloads through every
 // counter-bearing path the table has — compiled per-packet, naive
-// per-packet, the batched path, cache-warm repeats, SetCompiled toggles,
-// engine rebuilds from burst replays — and asserts two properties at
+// per-packet, the batched path, cache-warm repeats, engine rebuilds
+// from burst replays — and asserts two properties at
 // every stage boundary:
 //
 //  1. Monotonicity: per-entry packet/byte counters and the table's
 //     miss/build counters never move backwards. Entry counters live on
-//     the *FlowEntry and must survive engine rebuilds and compiled-mode
-//     toggles, which rebuild the dispatch structures around them.
+//     the *FlowEntry and must survive engine rebuilds, which rebuild
+//     the dispatch structures around them.
 //  2. Conservation: on an unmutated table, per-entry packet growth plus
 //     miss growth equals exactly the number of packets offered — every
 //     packet is counted once, on exactly one side, by every engine.
@@ -101,19 +101,16 @@ func TestCounterMonotonicityProperty(t *testing.T) {
 				run  func()
 			}{
 				{"compiled per-packet", 200, func() {
-					table.SetCompiled(true)
 					for _, p := range stream {
 						table.Process(p)
 					}
 				}},
 				{"naive per-packet", 200, func() {
-					table.SetCompiled(false)
 					for _, p := range stream {
-						table.Process(p)
+						table.ProcessNaive(p)
 					}
 				}},
 				{"recompiled batch", 200, func() {
-					table.SetCompiled(true)
 					table.Precompile()
 					table.ProcessBatch(stream, nil, nil)
 				}},

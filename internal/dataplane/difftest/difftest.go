@@ -30,13 +30,9 @@ type Stats struct {
 // For every packet the compiled path (checked cold and cache-warm) must
 // choose the same entry as the naive scan and Process must emit the same
 // packets; the batched path is then replayed over the identical stream
-// and must agree with the per-packet oracle. The table is forced into
-// compiled mode for the run and restored afterwards.
+// and must agree with the per-packet oracle.
 func Run(table *dataplane.FlowTable, gen *trafficgen.PacketGen, n int) (Stats, error) {
 	var st Stats
-	prev := table.Compiled()
-	table.SetCompiled(true)
-	defer table.SetCompiled(prev)
 
 	stream := make([]pkt.Packet, n)
 	gen.Fill(stream)

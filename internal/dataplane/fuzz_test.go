@@ -112,7 +112,6 @@ func FuzzCompiledLookup(f *testing.F) {
 		}
 
 		tbl := NewFlowTable()
-		tbl.SetCompiled(true)
 		tbl.AddBatch(es)
 
 		checkAll := func(stage string) {

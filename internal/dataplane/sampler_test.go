@@ -46,7 +46,6 @@ func TestByteCountersCountFullFrame(t *testing.T) {
 
 	run := map[string]func(*FlowTable){
 		"compiled": func(tbl *FlowTable) {
-			tbl.SetCompiled(true)
 			for _, p := range packets {
 				tbl.Process(p)
 			}
@@ -57,7 +56,6 @@ func TestByteCountersCountFullFrame(t *testing.T) {
 			}
 		},
 		"batch": func(tbl *FlowTable) {
-			tbl.SetCompiled(true)
 			out := make([]pkt.Packet, 0, len(packets))
 			tbl.ProcessBatch(packets, out, nil)
 		},
@@ -209,7 +207,6 @@ func TestSamplerDetach(t *testing.T) {
 // production.
 func TestSamplerNonSampledPathZeroAlloc(t *testing.T) {
 	tbl := NewFlowTable()
-	tbl.SetCompiled(true)
 	tbl.Add(&FlowEntry{Priority: 1, Match: pkt.MatchAll.DstPort(80), Actions: []pkt.Action{pkt.Output(2)}})
 	// Rate far beyond the packets processed below: every packet takes the
 	// non-sampled branch.
@@ -248,7 +245,6 @@ func BenchmarkSamplerOverhead(b *testing.B) {
 		rate      = 1024
 	)
 	tbl, p := benchTable(7000)
-	tbl.SetCompiled(true)
 	tbl.Precompile()
 	in := benchBatch(p)
 	out := make([]pkt.Packet, 0, 4*len(in))

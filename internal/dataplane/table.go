@@ -81,8 +81,7 @@ func (e *FlowEntry) String() string {
 // exact-field buckets, see compiled.go) fronted by a megaflow cache of
 // generation-stamped verdicts (cache.go); the naive priority-ordered scan
 // remains available as LookupNaive/ProcessNaive, the reference oracle the
-// differential and fuzz harnesses compare against, and can be made the
-// table's engine via SetCompiled(false).
+// differential and fuzz harnesses compare against.
 //
 // Mutations come in two kinds. Destructive ones (DeleteCookie, Replace,
 // Flush) can remove a cached verdict's winner, so they invalidate every
@@ -106,9 +105,6 @@ type FlowTable struct {
 	eng    atomic.Pointer[engine]
 	builds atomic.Uint64
 	cache  *megaflowCache
-
-	// naive routes lookups through the linear scan (SetCompiled(false)).
-	naive atomic.Bool
 
 	// smp is the optional 1-in-N packet sampler (see sampler.go); nil
 	// when sampling is off, which is the only cost the non-sampling hot
@@ -314,15 +310,6 @@ func (t *FlowTable) Flush() int {
 	return n
 }
 
-// SetCompiled selects the table's lookup engine: true (the default) is
-// the compiled dispatch structure + megaflow cache, false the naive
-// linear scan.
-func (t *FlowTable) SetCompiled(on bool) { t.naive.Store(!on) }
-
-// Compiled reports whether lookups currently run through the compiled
-// engine.
-func (t *FlowTable) Compiled() bool { return !t.naive.Load() }
-
 // Stats returns megaflow cache counters. A verdict revalidated against
 // the add-log counts as a hit.
 func (t *FlowTable) Stats() CacheStats { return t.cache.stats() }
@@ -372,22 +359,17 @@ func (t *FlowTable) engineFor(gen uint64) *engine {
 // not pay the build cost. The controller calls it after every full
 // recompilation.
 func (t *FlowTable) Precompile() {
-	if t.Compiled() {
-		t.engineFor(t.Generation())
-	}
+	t.engineFor(t.Generation())
 }
 
 // Lookup returns the matching entry for p (nil for table miss) without
-// updating counters. With the compiled engine active it answers as of
+// updating counters. It answers as of
 // the log snapshot it loads first: from the megaflow cache when that
 // holds a verdict the log can vouch for, else from the dispatch
 // structure — any engine at or past the log's floor will do — folded up
 // to the snapshot's generation, memoizing the verdict either way. The
 // result is always identical to LookupNaive at that generation.
 func (t *FlowTable) Lookup(p pkt.Packet) *FlowEntry {
-	if t.naive.Load() {
-		return t.LookupNaive(p)
-	}
 	lg := t.log.Load()
 	key := p.HeaderKey()
 	if e, ok := t.cache.get(lg, key, &p); ok {

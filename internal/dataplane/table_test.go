@@ -226,7 +226,6 @@ func benchTable(n int) (*FlowTable, pkt.Packet) {
 func BenchmarkLookupCompiledVsNaive(b *testing.B) {
 	tbl, p := benchTable(7000)
 	b.Run("compiled", func(b *testing.B) {
-		tbl.SetCompiled(true)
 		tbl.Precompile()
 		tbl.Lookup(p)
 		b.ReportAllocs()
@@ -262,7 +261,6 @@ func benchBatch(p pkt.Packet) []pkt.Packet {
 // reused output slab over a mixed 64-packet batch.
 func BenchmarkProcessBatch(b *testing.B) {
 	tbl, p := benchTable(7000)
-	tbl.SetCompiled(true)
 	tbl.Precompile()
 	in := benchBatch(p)
 	out := make([]pkt.Packet, 0, 4*len(in))

@@ -188,7 +188,17 @@ func (c *Client) send(m Message) error {
 	return WriteMessage(c.conn, m)
 }
 
-// roundTrip sends a request carrying xid and waits for its reply.
+// replyTimeout bounds every request/reply round trip (Barrier, Stats,
+// DumpFlows, Echo). A request written into a one-way partition never gets
+// its reply while the channel itself stays up, and a caller waiting on it
+// — the reconciler's serial loop, a shutdown waiting on that loop — would
+// wedge for good. The bound sits orders of magnitude above a healthy
+// round trip, so expiry means the reply is lost, not slow.
+const replyTimeout = 5 * time.Second
+
+// roundTrip sends a request carrying xid and waits for its reply, at most
+// replyTimeout. A reply arriving after expiry finds no waiter and is
+// dropped.
 func (c *Client) roundTrip(xid uint32, m Message) (Message, error) {
 	ch := make(chan Message, 1)
 	c.mu.Lock()
@@ -199,13 +209,28 @@ func (c *Client) roundTrip(xid uint32, m Message) (Message, error) {
 	c.waits[xid] = ch
 	c.mu.Unlock()
 	if err := c.send(m); err != nil {
+		c.forget(xid)
 		return nil, err
 	}
-	reply, ok := <-ch
-	if !ok {
-		return nil, fmt.Errorf("openflow: connection closed waiting for xid %d", xid)
+	timeout := time.NewTimer(replyTimeout)
+	defer timeout.Stop()
+	select {
+	case reply, ok := <-ch:
+		if !ok {
+			return nil, fmt.Errorf("openflow: connection closed waiting for xid %d", xid)
+		}
+		return reply, nil
+	case <-timeout.C:
+		c.forget(xid)
+		return nil, fmt.Errorf("openflow: no reply to xid %d within %v", xid, replyTimeout)
 	}
-	return reply, nil
+}
+
+// forget drops a request's reply slot.
+func (c *Client) forget(xid uint32) {
+	c.mu.Lock()
+	delete(c.waits, xid)
+	c.mu.Unlock()
 }
 
 func (c *Client) nextXid() uint32 {

@@ -477,3 +477,66 @@ func TestInjectEntersPipelineAndPunt(t *testing.T) {
 		t.Fatal("injected probe never punted back")
 	}
 }
+
+// TestRoundTripsBoundedBySilentPeer drives a switch that completes the
+// hello exchange and then reads every request without ever replying — a
+// channel whose reply direction sits behind a one-way partition. Barrier,
+// Stats and DumpFlows must each fail within replyTimeout and leave no
+// reply slot behind.
+func TestRoundTripsBoundedBySilentPeer(t *testing.T) {
+	ca, cb := net.Pipe()
+	go func() {
+		defer ca.Close()
+		if err := WriteMessage(ca, &Hello{Version: ProtocolVersion}); err != nil {
+			return
+		}
+		for {
+			if _, err := ReadMessage(ca); err != nil {
+				return
+			}
+		}
+	}()
+	client, err := NewClient(cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Start()
+	defer client.Close()
+
+	calls := map[string]func() error{
+		"Barrier":   client.Barrier,
+		"Stats":     func() error { _, err := client.Stats(); return err },
+		"DumpFlows": func() error { _, err := client.DumpFlows(); return err },
+	}
+	start := time.Now()
+	errs := make(chan error, len(calls))
+	for name, call := range calls {
+		go func() {
+			if err := call(); err == nil {
+				errs <- fmt.Errorf("%s: succeeded against a silent peer", name)
+			} else {
+				errs <- nil
+			}
+		}()
+	}
+	deadline := time.After(replyTimeout + 5*time.Second)
+	for range calls {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("round trips still blocked %v after the calls", time.Since(start))
+		}
+	}
+	if waited := time.Since(start); waited < replyTimeout {
+		t.Fatalf("round trips gave up after %v, before the %v bound", waited, replyTimeout)
+	}
+	client.mu.Lock()
+	left := len(client.waits)
+	client.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d reply slots left behind after expiry", left)
+	}
+}

@@ -27,11 +27,12 @@ import (
 
 	"sdx"
 	"sdx/internal/bgp"
-	"sdx/internal/core"
 	"sdx/internal/dataplane"
+	"sdx/internal/fabric"
 	"sdx/internal/iputil"
 	"sdx/internal/openflow"
 	"sdx/internal/pkt"
+	"sdx/internal/probe"
 	"sdx/internal/reconcile"
 	"sdx/internal/simnet"
 	"sdx/internal/verify"
@@ -153,28 +154,29 @@ func (p *Peer) onUpdate(_ *bgp.Session, u *bgp.Update) {
 	}
 }
 
-// Deployment is one full SDX stack wired over a simnet Network.
-type Deployment struct {
-	Net    *simnet.Network
-	Ctrl   *sdx.Controller
-	Srv    *sdx.BGPServer
-	Remote *dataplane.Switch
-	Peers  map[uint32]*Peer
+// stack is what both deployments share: the controller side, the same
+// sdx.Exchange sdxd runs, and the border routers, with their lifetimes.
+// Its exported fields and methods are the deployments' own.
+type stack struct {
+	Net   *simnet.Network
+	Ctrl  *sdx.Controller
+	Peers map[uint32]*Peer
 
-	// Rec is the deployment's reconciler over the remote table. Always
-	// constructed; its continuous loop runs only when
-	// Options.ReconcileInterval is set. Drive it manually with
-	// ReconcileOnce.
-	Rec *reconcile.Reconciler
-
-	red    *openflow.Redialer
-	swLn   *simnet.Listener
+	specs  []PeerSpec
+	x      *sdx.Exchange
+	conv   func() error       // the deployment's Converged
+	lns    []*simnet.Listener // closed on Stop
+	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+}
 
-	mu   sync.Mutex
-	gen  uint64        // control-channel/table generation (see genSink)
-	sink core.RuleSink // registered mirror for the live channel, nil while down
+// Deployment is one full SDX stack wired over a simnet Network: the
+// simulated remote side (switch, agent, border routers) around the
+// exchange.
+type Deployment struct {
+	*stack
+	Remote *dataplane.Switch
 }
 
 // Options tunes a deployment. The zero value picks chaos-friendly
@@ -191,12 +193,11 @@ type Options struct {
 	// loop at that period. The reconciler itself is always constructed,
 	// so tests can drive deterministic passes with ReconcileOnce.
 	ReconcileInterval time.Duration
-	// ProbeInterval, when non-zero, starts the fabric deployment's
-	// continuous dataplane liveness probe loop at that period (the
-	// single-switch deployment has no trunk band for probes to ride).
+	// ProbeInterval, when non-zero, starts the continuous dataplane
+	// liveness probe loop at that period.
 	ProbeInterval time.Duration
-	// Logf, when non-nil, narrates reconciler repairs and probe health
-	// transitions.
+	// Logf, when non-nil, receives the exchange's logging: control
+	// channel life cycle, reconciler repairs, probe health transitions.
 	Logf func(format string, args ...any)
 }
 
@@ -222,50 +223,78 @@ func (o *Options) fill() {
 // retry jitter reproducible.
 func Start(n *simnet.Network, seed int64, specs []PeerSpec, opts Options) (*Deployment, error) {
 	opts.fill()
-	ctrl, err := buildController(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	rsLn, err := n.Listen("rs")
-	if err != nil {
-		return nil, err
-	}
-	swLn, err := n.Listen("switch")
-	if err != nil {
-		return nil, err
-	}
-
 	remote := dataplane.NewSwitch("chaos-remote")
+	agent := openflow.NewAgent(remote)
 	for i, spec := range specs {
 		for _, port := range spec.ports() {
-			if err := remote.AddPort(port, fmt.Sprintf("%c%d", 'A'+i, port), nil); err != nil {
+			if err := remote.AddPort(port, fmt.Sprintf("%c%d", 'A'+i, port), puntProbes(agent, port, nil)); err != nil {
 				return nil, err
 			}
 		}
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	d := &Deployment{
-		Net:    n,
-		Ctrl:   ctrl,
-		Srv:    sdx.ServeBGP(ctrl, rsLn, 64512),
-		Remote: remote,
-		Peers:  make(map[uint32]*Peer),
-		swLn:   swLn,
-		cancel: cancel,
+	s, err := newStack(n, specs, opts)
+	if err != nil {
+		return nil, err
 	}
+	d := &Deployment{stack: s, Remote: remote}
+	if err := s.serve(agent, "switch"); err != nil {
+		d.Stop()
+		return nil, err
+	}
+	err = s.start(seed, opts, nil, d.Converged, func(string) (string, string) { return "switch", OFTag })
+	if err != nil {
+		d.Stop()
+		return nil, err
+	}
+	return d, nil
+}
 
-	agent := openflow.NewAgent(remote)
-	d.wg.Add(1)
+// newStack builds the controller for specs; start brings it up.
+func newStack(n *simnet.Network, specs []PeerSpec, opts Options) (*stack, error) {
+	ctrl, err := buildController(specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	s := &stack{Net: n, Ctrl: ctrl, specs: specs}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
+	return s, nil
+}
+
+// serve runs a remote switch's agent on the simnet listener name.
+func (s *stack) serve(agent *openflow.Agent, name string) error {
+	ln, err := s.Net.Listen(name)
+	if err != nil {
+		return err
+	}
+	s.lns = append(s.lns, ln)
+	s.wg.Add(1)
 	go func() {
-		defer d.wg.Done()
-		_ = agent.ListenAndServe(swLn)
+		defer s.wg.Done()
+		_ = agent.ListenAndServe(ln)
 	}()
+	return nil
+}
 
-	d.red = &openflow.Redialer{
-		Dial: func(context.Context) (*openflow.Client, error) {
-			conn, err := n.Dial("switch", OFTag)
+// start runs the exchange over simnet dialers, endpoint mapping a switch
+// name to the listener and connection tag of its control channel, then
+// starts one redialing border router per spec. Seed makes every dialer's
+// retry jitter reproducible.
+func (s *stack) start(seed int64, opts Options, topo *fabric.Topology, conv func() error,
+	endpoint func(name string) (listener, tag string)) error {
+	rsLn, err := s.Net.Listen("rs")
+	if err != nil {
+		return err
+	}
+	chanSeed := seed + 1
+	if topo != nil {
+		chanSeed = seed + 1000
+	}
+	s.x, err = sdx.StartExchange(s.Ctrl, sdx.ExchangeConfig{
+		Listener: rsLn,
+		LocalAS:  64512,
+		Dial: func(_ context.Context, name string) (*openflow.Client, error) {
+			ln, tag := endpoint(name)
+			conn, err := s.Net.Dial(ln, tag)
 			if err != nil {
 				return nil, err
 			}
@@ -279,125 +308,53 @@ func Start(n *simnet.Network, seed int64, specs []PeerSpec, opts Options) (*Depl
 			_ = conn.SetDeadline(time.Time{})
 			return c, nil
 		},
-		OnUp: func(c *openflow.Client) {
-			sink := &genSink{bump: d.bumpGen, inner: openflow.Mirror{C: c}}
-			d.mu.Lock()
-			d.gen++
-			d.sink = sink
-			d.mu.Unlock()
-			ctrl.AddRuleMirror(sink)
-		},
-		OnDown: func(c *openflow.Client, _ error) {
-			d.mu.Lock()
-			d.gen++
-			sink := d.sink
-			d.sink = nil
-			d.mu.Unlock()
-			if sink != nil {
-				ctrl.RemoveRuleMirror(sink)
-			}
-		},
-		MinBackoff: opts.MinBackoff,
-		MaxBackoff: opts.MaxBackoff,
-		Seed:       seed + 1,
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		_ = d.red.Run(ctx)
-	}()
-
-	d.Rec = reconcile.New(reconcile.Config{
-		Interval: opts.ReconcileInterval,
-		Registry: ctrl.Metrics(),
-		Logf:     opts.Logf,
-	}, reconcile.Target{
-		Name:     "remote",
-		Intended: func() []*dataplane.FlowEntry { return ctrl.Switch().Table().Entries() },
-		Installed: func() ([]*dataplane.FlowEntry, bool) {
-			if d.red.Client() == nil {
-				return nil, false
-			}
-			return remote.Table().Entries(), true
-		},
-		Sink: func() reconcile.Sink {
-			c := d.red.Client()
-			if c == nil {
-				return nil
-			}
-			return openflow.Mirror{C: c}
-		},
-		Generation: d.genOf,
-		Escalate:   d.escalate,
+		Topology:          topo,
+		Logf:              opts.Logf,
+		ReconcileInterval: opts.ReconcileInterval,
+		ProbeInterval:     opts.ProbeInterval,
+		MinBackoff:        opts.MinBackoff,
+		MaxBackoff:        opts.MaxBackoff,
+		Seed:              chanSeed,
 	})
-	if opts.ReconcileInterval > 0 {
-		d.Rec.Start()
+	if err != nil {
+		_ = rsLn.Close()
+		return err
 	}
-
-	for _, spec := range specs {
-		p := newPeer(n, ctrl, spec, opts, seed)
-		d.Peers[spec.AS] = p
-		d.wg.Add(1)
+	s.conv = conv
+	s.Peers = make(map[uint32]*Peer, len(s.specs))
+	for _, spec := range s.specs {
+		p := newPeer(s.Net, s.Ctrl, spec, opts, seed)
+		s.Peers[spec.AS] = p
+		s.wg.Add(1)
 		go func() {
-			defer d.wg.Done()
-			_ = p.dialer.Run(ctx)
+			defer s.wg.Done()
+			_ = p.dialer.Run(s.ctx)
 		}()
 	}
-	return d, nil
+	return nil
 }
 
-// genSink wraps a registered control-channel sink and bumps a generation
-// counter on every controller write. The reconciler samples the
-// generation before diffing and re-checks it before repairing, so a
-// resync or recompile landing in between fences the (now stale) repair
-// instead of letting it trample the fresh table.
-type genSink struct {
-	bump  func()
-	inner core.RuleSink
-}
-
-func (g *genSink) AddBatch(es []*dataplane.FlowEntry) { g.bump(); g.inner.AddBatch(es) }
-func (g *genSink) Replace(cookie uint64, es []*dataplane.FlowEntry) {
-	g.bump()
-	g.inner.Replace(cookie, es)
-}
-func (g *genSink) DeleteCookie(cookie uint64) { g.bump(); g.inner.DeleteCookie(cookie) }
-func (g *genSink) FlushAll() {
-	g.bump()
-	if f, ok := g.inner.(core.RuleFlusher); ok {
-		f.FlushAll()
-	}
-}
-
-func (d *Deployment) bumpGen() {
-	d.mu.Lock()
-	d.gen++
-	d.mu.Unlock()
-}
-
-func (d *Deployment) genOf() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.gen
-}
-
-// escalate is the reconciler's flush-and-replay path: a full controller
-// resync through the registered (generation-bumping) sink, exactly what
-// a control-channel reconnect performs.
-func (d *Deployment) escalate() {
-	d.mu.Lock()
-	sink := d.sink
-	d.mu.Unlock()
-	if sink != nil {
-		d.Ctrl.Resync(sink)
+// puntProbes is a remote port's delivery handler, the way sdx-switch
+// delivers: a liveness probe goes back to the controller as a PACKET_IN
+// stamped with the delivery port, anything else to app (nil drops it).
+func puntProbes(agent *openflow.Agent, port pkt.PortID, app func(pkt.Packet)) func(pkt.Packet) {
+	return func(p pkt.Packet) {
+		if p.EthType == probe.EthType {
+			p.InPort = port
+			agent.Punt(p)
+			return
+		}
+		if app != nil {
+			app(p)
+		}
 	}
 }
 
 // ReconcileOnce drives one deterministic reconciler pass.
-func (d *Deployment) ReconcileOnce() reconcile.Summary { return d.Rec.RunOnce() }
+func (s *stack) ReconcileOnce() reconcile.Summary { return s.x.Reconciler().RunOnce() }
 
 // buildController assembles a controller with the specs' participants and
-// policies installed and an initial compile done.
+// policies installed; the exchange runs the initial compile.
 func buildController(specs []PeerSpec, opts Options) (*sdx.Controller, error) {
 	ctrl := sdx.New(sdx.WithRouteAgeOut(opts.AgeOut))
 	for i, spec := range specs {
@@ -422,7 +379,6 @@ func buildController(specs []PeerSpec, opts Options) (*sdx.Controller, error) {
 			return nil, err
 		}
 	}
-	ctrl.Recompile()
 	return ctrl, nil
 }
 
@@ -453,26 +409,28 @@ func newPeer(n *simnet.Network, ctrl *sdx.Controller, spec PeerSpec, opts Option
 	return p
 }
 
-// Stop tears the deployment down: the reconciler loop first (a repair
-// must not race the teardown), then the route server (a closing
-// exchange must not record PeerDowns), then every dialer, then the agent
-// listener, and waits for all goroutines.
-func (d *Deployment) Stop() {
-	d.Rec.Stop()
-	_ = d.Srv.Close()
-	d.cancel()
-	_ = d.swLn.Close()
-	d.wg.Wait()
+// Stop tears the deployment down: the exchange first (its loops, then
+// the route server, then its control channels), then every border
+// router and the remote side's listeners, and waits for all goroutines.
+func (s *stack) Stop() {
+	if s.x != nil {
+		s.x.Stop()
+	}
+	s.cancel()
+	for _, ln := range s.lns {
+		_ = ln.Close()
+	}
+	s.wg.Wait()
 }
 
 // OFClient returns the live OpenFlow client, or nil while the control
 // channel is down.
-func (d *Deployment) OFClient() *openflow.Client { return d.red.Client() }
+func (d *Deployment) OFClient() *openflow.Client { return d.x.Client(d.x.Switches()[0]) }
 
 // ServerView renders what the route server currently advertises to as,
 // sorted, in the same format as Peer.RIBDump.
-func (d *Deployment) ServerView(as uint32) []string {
-	ads := d.Ctrl.RoutesFor(as)
+func (s *stack) ServerView(as uint32) []string {
+	ads := s.Ctrl.RoutesFor(as)
 	lines := make([]string, 0, len(ads))
 	for _, ad := range ads {
 		lines = append(lines, fmt.Sprintf("%s via %s path %v", ad.Prefix, ad.NextHop, ad.Attrs.ASPath))
@@ -481,33 +439,41 @@ func (d *Deployment) ServerView(as uint32) []string {
 	return lines
 }
 
-// Converged returns nil when every BGP session is Established, the
-// OpenFlow channel is up, and every peer's Loc-RIB matches the server's
-// advertised view exactly. Otherwise it describes the first divergence.
-func (d *Deployment) Converged() error {
-	for as, p := range d.Peers {
-		if !p.Established() {
-			return fmt.Errorf("AS%d: session not established", as)
+// sessionsConverged returns nil when every BGP session is Established
+// and every peer's Loc-RIB matches the server's advertised view exactly.
+func (s *stack) sessionsConverged() error {
+	for _, spec := range s.specs {
+		if !s.Peers[spec.AS].Established() {
+			return fmt.Errorf("AS%d: session not established", spec.AS)
 		}
 	}
-	if d.red.Client() == nil {
-		return fmt.Errorf("openflow control channel down")
-	}
-	for as, p := range d.Peers {
-		got, want := p.RIBDump(), d.ServerView(as)
+	for _, spec := range s.specs {
+		got, want := s.Peers[spec.AS].RIBDump(), s.ServerView(spec.AS)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			return fmt.Errorf("AS%d Loc-RIB diverges from server view\n peer:\n  %s\n server:\n  %s",
-				as, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+				spec.AS, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 		}
 	}
 	return nil
 }
 
-// WaitConverged polls Converged until it holds on two consecutive checks
-// (so a mid-churn coincidence does not count) or the timeout passes, in
-// which case the last divergence is returned.
-func (d *Deployment) WaitConverged(timeout time.Duration) error {
-	_, err := waitConverged(d.Net.Clock(), timeout, d.Converged)
+// Converged returns nil when the BGP sessions have converged and the
+// OpenFlow channel is up. Otherwise it describes the first divergence.
+func (d *Deployment) Converged() error {
+	if err := d.sessionsConverged(); err != nil {
+		return err
+	}
+	if d.OFClient() == nil {
+		return fmt.Errorf("openflow control channel down")
+	}
+	return nil
+}
+
+// WaitConverged polls the deployment's Converged until it holds on two
+// consecutive checks (so a mid-churn coincidence does not count) or the
+// timeout passes, in which case the last divergence is returned.
+func (s *stack) WaitConverged(timeout time.Duration) error {
+	_, err := waitConverged(s.Net.Clock(), timeout, s.conv)
 	return err
 }
 
@@ -521,16 +487,10 @@ const ConvergeMetric = "chaos_converge_ns"
 // histogram, so a chaos run reports p50/p95/p99 convergence times that
 // are independent of the host's real-time load and the polling cadence's
 // confirmation checks.
-func (d *Deployment) WaitConvergedTimed(timeout time.Duration) error {
-	return waitConvergedTimed(d.Net.Clock(), d.Ctrl, timeout, d.Converged)
-}
-
-// waitConvergedTimed is waitConverged recording its latency into the
-// controller registry's ConvergeMetric on success.
-func waitConvergedTimed(clock *simnet.Clock, ctrl *sdx.Controller, timeout time.Duration, conv func() error) error {
-	elapsed, err := waitConverged(clock, timeout, conv)
+func (s *stack) WaitConvergedTimed(timeout time.Duration) error {
+	elapsed, err := waitConverged(s.Net.Clock(), timeout, s.conv)
 	if err == nil {
-		ctrl.Metrics().Histogram(ConvergeMetric).Observe(int64(elapsed))
+		s.Ctrl.Metrics().Histogram(ConvergeMetric).Observe(int64(elapsed))
 	}
 	return err
 }

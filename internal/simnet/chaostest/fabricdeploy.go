@@ -12,12 +12,13 @@
 //     hit the data plane's cross-switch forwarding, not just control;
 //   - the same redialing BGP peers as the single-switch harness.
 //
-// A local fabric.Fabric (Model) mirrors the controller directly and acts
-// as the authoritative per-switch rule state: convergence requires every
-// remote table to be byte-identical to its model switch. Because writes
-// into a one-way partition vanish silently, a control channel can stay
-// alive while its flow-mods are lost; the reconciler (Rec) is what
-// repairs that drift, exactly as in sdxd.
+// The controller side is the same sdx.Exchange sdxd runs, given the
+// topology: its fabric model (Model) mirrors the controller directly and
+// acts as the authoritative per-switch rule state, and convergence
+// requires every remote table to be byte-identical to its model switch.
+// Because writes into a one-way partition vanish silently, a control
+// channel can stay alive while its flow-mods are lost; the reconciler
+// (Rec), reading each switch back over its channel, repairs that drift.
 package chaostest
 
 import (
@@ -32,8 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"sdx"
-	"sdx/internal/core"
 	"sdx/internal/dataplane"
 	"sdx/internal/fabric"
 	"sdx/internal/iputil"
@@ -54,38 +53,25 @@ func SwitchTag(name string) string      { return "ofctl-" + name }
 // FabricDeployment is a multi-switch SDX stack wired over one simnet
 // Network.
 type FabricDeployment struct {
-	Net   *simnet.Network
-	Ctrl  *sdx.Controller
-	Srv   *sdx.BGPServer
+	*stack
 	Model *fabric.Fabric
-	Peers map[uint32]*Peer
 
 	// Rec reconciles every remote switch's installed table against the
 	// local model. Always constructed; its continuous loop runs only
 	// when Options.ReconcileInterval is set (drive it manually with
 	// ReconcileOnce).
 	Rec *reconcile.Reconciler
-	// Prb injects liveness probes across all participant port pairs of
-	// the remote fabric. Always constructed; its loop runs only when
-	// Options.ProbeInterval is set.
+	// Prb probes all participant port pairs of the remote fabric. Always
+	// constructed; its loop runs only when Options.ProbeInterval is set.
 	Prb *probe.Prober
 
-	specs     []PeerSpec
 	topo      fabric.Topology
 	names     []string // sorted switch names
 	remote    map[string]*dataplane.Switch
-	portSw    map[pkt.PortID]string
 	trunkTags []string
 
-	reds       map[string]*openflow.Redialer
 	mu         sync.Mutex
-	sinks      map[*openflow.Client]core.RuleSink
-	gens       map[string]uint64 // per-switch channel/table generation
 	appDeliver map[pkt.PortID]func(pkt.Packet)
-
-	lns    []*simnet.Listener
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
 }
 
 // StartFabric brings up the multi-switch stack on n: route server at
@@ -102,89 +88,42 @@ func StartFabric(n *simnet.Network, seed int64, specs []PeerSpec, topo fabric.To
 			}
 		}
 	}
-	ctrl, err := buildController(specs, opts)
+	s, err := newStack(n, specs, opts)
 	if err != nil {
 		return nil, err
 	}
-	model, err := fabric.New(topo)
-	if err != nil {
-		return nil, err
-	}
-	ctrl.AddRuleMirror(model)
-
-	rsLn, err := n.Listen("rs")
-	if err != nil {
-		return nil, err
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
 	fd := &FabricDeployment{
-		Net:        n,
-		Ctrl:       ctrl,
-		Srv:        sdx.ServeBGP(ctrl, rsLn, 64512),
-		Model:      model,
-		Peers:      make(map[uint32]*Peer),
-		specs:      specs,
+		stack:      s,
 		topo:       topo,
+		names:      append([]string(nil), topo.Switches...),
 		remote:     make(map[string]*dataplane.Switch),
-		portSw:     make(map[pkt.PortID]string, len(topo.Ports)),
-		reds:       make(map[string]*openflow.Redialer),
-		sinks:      make(map[*openflow.Client]core.RuleSink),
-		gens:       make(map[string]uint64),
 		appDeliver: make(map[pkt.PortID]func(pkt.Packet)),
-		lns:        []*simnet.Listener{},
-		cancel:     cancel,
 	}
 	fail := func(err error) (*FabricDeployment, error) {
 		fd.Stop()
 		return nil, err
 	}
-	for port, sw := range topo.Ports {
-		fd.portSw[port] = sw
-	}
-	fd.names = append(fd.names, topo.Switches...)
 	sort.Strings(fd.names)
 
-	// Remote switches: participant ports per the topology (delivery
-	// routed through the probe tap), trunk ports per the links (delivery
-	// wired to the trunk pipes below).
+	// Remote switches and their agents: participant ports per the
+	// topology (delivery punts probes and feeds the application
+	// handlers), trunk ports per the links (delivery wired to the trunk
+	// pipes below).
+	agents := make(map[string]*openflow.Agent, len(fd.names))
 	for _, name := range fd.names {
 		sw := dataplane.NewSwitch(name)
+		agents[name] = openflow.NewAgent(sw)
 		for port, owner := range topo.Ports {
 			if owner != name {
 				continue
 			}
-			port := port
-			deliver := func(p pkt.Packet) { fd.deliverParticipant(port, p) }
-			if err := sw.AddPort(port, fmt.Sprintf("p%d", port), deliver); err != nil {
+			app := func(p pkt.Packet) { fd.deliverApp(port, p) }
+			if err := sw.AddPort(port, fmt.Sprintf("p%d", port), puntProbes(agents[name], port, app)); err != nil {
 				return fail(err)
 			}
 		}
 		fd.remote[name] = sw
 	}
-
-	// Liveness prober: every ordered pair of distinct participant ports,
-	// injected into the remote fabric so probes cross the real trunk
-	// pipes. Constructed before any delivery can happen so the tap in
-	// deliverParticipant never races the assignment.
-	ports := make([]pkt.PortID, 0, len(topo.Ports))
-	for port := range topo.Ports {
-		ports = append(ports, port)
-	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	var pairs []probe.Pair
-	for _, from := range ports {
-		for _, to := range ports {
-			if from != to {
-				pairs = append(pairs, probe.Pair{From: from, To: to})
-			}
-		}
-	}
-	fd.Prb = probe.New(probe.Config{
-		Interval: opts.ProbeInterval,
-		Registry: ctrl.Metrics(),
-		Logf:     opts.Logf,
-	}, fd.InjectRemote, pairs...)
 	for i, l := range topo.Links {
 		a, b := fd.remote[l.A], fd.remote[l.B]
 		if a == nil || b == nil {
@@ -206,152 +145,26 @@ func StartFabric(n *simnet.Network, seed int64, specs []PeerSpec, topo fabric.To
 		if err := b.SetDeliver(l.PortB, enqueue(outB)); err != nil {
 			return fail(err)
 		}
-		l := l
 		fd.wg.Add(1)
-		go fd.runTrunk(ctx, l, tag, outA, outB)
+		go fd.runTrunk(s.ctx, l, tag, outA, outB)
 	}
-
-	// Per-switch agents and redialing control channels.
-	for i, name := range fd.names {
-		ln, err := n.Listen(SwitchListener(name))
-		if err != nil {
+	for _, name := range fd.names {
+		if err := s.serve(agents[name], SwitchListener(name)); err != nil {
 			return fail(err)
 		}
-		fd.lns = append(fd.lns, ln)
-		agent := openflow.NewAgent(fd.remote[name])
-		fd.wg.Add(1)
-		go func() {
-			defer fd.wg.Done()
-			_ = agent.ListenAndServe(ln)
-		}()
-
-		name := name
-		red := &openflow.Redialer{
-			Dial: func(context.Context) (*openflow.Client, error) {
-				conn, err := n.Dial(SwitchListener(name), SwitchTag(name))
-				if err != nil {
-					return nil, err
-				}
-				// Bound the hello exchange: a partition landing
-				// mid-handshake must fail the attempt into the backoff
-				// loop, not wedge it.
-				_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-				c, err := openflow.NewClient(conn)
-				if err != nil {
-					return nil, err
-				}
-				_ = conn.SetDeadline(time.Time{})
-				return c, nil
-			},
-			OnUp: func(c *openflow.Client) {
-				inner, err := model.SwitchSink(name, openflow.Mirror{C: c})
-				if err != nil {
-					return
-				}
-				sink := &genSink{bump: func() { fd.bumpGen(name) }, inner: inner}
-				fd.mu.Lock()
-				fd.gens[name]++
-				fd.sinks[c] = sink
-				fd.mu.Unlock()
-				ctrl.AddRuleMirror(sink)
-			},
-			OnDown: func(c *openflow.Client, _ error) {
-				fd.mu.Lock()
-				fd.gens[name]++
-				sink := fd.sinks[c]
-				delete(fd.sinks, c)
-				fd.mu.Unlock()
-				if sink != nil {
-					ctrl.RemoveRuleMirror(sink)
-				}
-			},
-			MinBackoff: opts.MinBackoff,
-			MaxBackoff: opts.MaxBackoff,
-			Seed:       seed + 1000 + int64(i),
-		}
-		fd.reds[name] = red
-		fd.wg.Add(1)
-		go func() {
-			defer fd.wg.Done()
-			_ = red.Run(ctx)
-		}()
 	}
-
-	for _, spec := range specs {
-		p := newPeer(n, ctrl, spec, opts, seed)
-		fd.Peers[spec.AS] = p
-		fd.wg.Add(1)
-		go func() {
-			defer fd.wg.Done()
-			_ = p.dialer.Run(ctx)
-		}()
+	err = s.start(seed, opts, &fd.topo, fd.Converged,
+		func(name string) (string, string) { return SwitchListener(name), SwitchTag(name) })
+	if err != nil {
+		return fail(err)
 	}
-
-	// Reconciler: one target per member switch, diffing the remote table
-	// against the local model's, repairing over the live control channel
-	// and escalating to the controller's flush-and-replay resync.
-	targets := make([]reconcile.Target, 0, len(fd.names))
-	for _, name := range fd.names {
-		name := name
-		targets = append(targets, reconcile.Target{
-			Name:     name,
-			Intended: func() []*dataplane.FlowEntry { return model.Switch(name).Table().Entries() },
-			Installed: func() ([]*dataplane.FlowEntry, bool) {
-				if fd.reds[name].Client() == nil {
-					return nil, false
-				}
-				return fd.remote[name].Table().Entries(), true
-			},
-			Sink: func() reconcile.Sink {
-				c := fd.reds[name].Client()
-				if c == nil {
-					return nil
-				}
-				return openflow.Mirror{C: c}
-			},
-			Generation: func() uint64 { return fd.genOf(name) },
-			Escalate:   func() { fd.escalateSwitch(name) },
-			Topo:       &fd.topo,
-		})
-	}
-	fd.Rec = reconcile.New(reconcile.Config{
-		Interval: opts.ReconcileInterval,
-		Registry: ctrl.Metrics(),
-		Logf:     opts.Logf,
-	}, targets...)
-	if opts.ReconcileInterval > 0 {
-		fd.Rec.Start()
-	}
-	if opts.ProbeInterval > 0 {
-		fd.Prb.Start()
-	}
+	fd.Model, fd.Rec, fd.Prb = fd.x.Model(), fd.x.Reconciler(), fd.x.Prober()
 	return fd, nil
 }
 
-// Stop tears the deployment down in the same order as Deployment.Stop,
-// stopping the reconciler and prober loops first.
-func (fd *FabricDeployment) Stop() {
-	if fd.Prb != nil {
-		fd.Prb.Stop()
-	}
-	if fd.Rec != nil {
-		fd.Rec.Stop()
-	}
-	_ = fd.Srv.Close()
-	fd.cancel()
-	for _, ln := range fd.lns {
-		_ = ln.Close()
-	}
-	fd.wg.Wait()
-}
-
-// deliverParticipant is the delivery tap on every participant port:
-// liveness probes are consumed by the prober, everything else goes to
-// the application handler installed with OnDeliver.
-func (fd *FabricDeployment) deliverParticipant(port pkt.PortID, p pkt.Packet) {
-	if fd.Prb.Deliver(port, p) {
-		return
-	}
+// deliverApp hands a delivered packet to the application handler
+// installed for its port with OnDeliver.
+func (fd *FabricDeployment) deliverApp(port pkt.PortID, p pkt.Packet) {
 	fd.mu.Lock()
 	h := fd.appDeliver[port]
 	fd.mu.Unlock()
@@ -359,37 +172,6 @@ func (fd *FabricDeployment) deliverParticipant(port pkt.PortID, p pkt.Packet) {
 		h(p)
 	}
 }
-
-func (fd *FabricDeployment) bumpGen(name string) {
-	fd.mu.Lock()
-	fd.gens[name]++
-	fd.mu.Unlock()
-}
-
-func (fd *FabricDeployment) genOf(name string) uint64 {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	return fd.gens[name]
-}
-
-// escalateSwitch is one switch's flush-and-replay path: a full
-// controller resync through the channel's registered per-switch sink,
-// which replays the policy bands and the static trunk band.
-func (fd *FabricDeployment) escalateSwitch(name string) {
-	c := fd.reds[name].Client()
-	if c == nil {
-		return
-	}
-	fd.mu.Lock()
-	sink := fd.sinks[c]
-	fd.mu.Unlock()
-	if sink != nil {
-		fd.Ctrl.Resync(sink)
-	}
-}
-
-// ReconcileOnce drives one deterministic reconciler pass.
-func (fd *FabricDeployment) ReconcileOnce() reconcile.Summary { return fd.Rec.RunOnce() }
 
 // Targets returns every faultable transport of the deployment with both
 // endpoints named, so GenScript schedules can partition any of them in
@@ -418,13 +200,7 @@ func (fd *FabricDeployment) SwitchNames() []string {
 
 // OFClient returns one switch's live control-channel client, or nil
 // while it is down.
-func (fd *FabricDeployment) OFClient(name string) *openflow.Client {
-	red := fd.reds[name]
-	if red == nil {
-		return nil
-	}
-	return red.Client()
-}
+func (fd *FabricDeployment) OFClient(name string) *openflow.Client { return fd.x.Client(name) }
 
 // ModelRules dumps the local model's table for one switch — the expected
 // remote state.
@@ -441,7 +217,7 @@ func (fd *FabricDeployment) RemoteRules(name string) []string {
 // InjectRemote offers a packet to the remote fabric on a participant
 // port, entering at the switch owning it.
 func (fd *FabricDeployment) InjectRemote(port pkt.PortID, p pkt.Packet) bool {
-	name, ok := fd.portSw[port]
+	name, ok := fd.topo.Ports[port]
 	if !ok {
 		return false
 	}
@@ -449,10 +225,10 @@ func (fd *FabricDeployment) InjectRemote(port pkt.PortID, p pkt.Packet) bool {
 }
 
 // OnDeliver installs the application delivery handler for a participant
-// port on the remote fabric. Handlers sit behind the probe tap: liveness
-// probes are consumed before they reach the handler.
+// port on the remote fabric. Handlers sit behind the probe punt: liveness
+// probes go back to the controller and never reach the handler.
 func (fd *FabricDeployment) OnDeliver(port pkt.PortID, deliver func(pkt.Packet)) error {
-	if _, ok := fd.portSw[port]; !ok {
+	if _, ok := fd.topo.Ports[port]; !ok {
 		return fmt.Errorf("chaostest: unknown participant port %d", port)
 	}
 	fd.mu.Lock()
@@ -461,38 +237,16 @@ func (fd *FabricDeployment) OnDeliver(port pkt.PortID, deliver func(pkt.Packet))
 	return nil
 }
 
-// ServerView renders what the route server currently advertises to as.
-func (fd *FabricDeployment) ServerView(as uint32) []string {
-	ads := fd.Ctrl.RoutesFor(as)
-	lines := make([]string, 0, len(ads))
-	for _, ad := range ads {
-		lines = append(lines, fmt.Sprintf("%s via %s path %v", ad.Prefix, ad.NextHop, ad.Attrs.ASPath))
-	}
-	sort.Strings(lines)
-	return lines
-}
-
-// Converged returns nil when every BGP session is Established, every
-// control channel is up, every peer's Loc-RIB matches the server view,
-// and every remote switch's table is byte-identical to the local model's.
-// It only observes: drift heals through the reconciler, not through this
-// check.
+// Converged returns nil when the BGP sessions have converged, every
+// control channel is up and every remote switch's table is
+// byte-identical to the local model's. It only observes: drift heals
+// through the reconciler, not through this check.
 func (fd *FabricDeployment) Converged() error {
-	for _, spec := range fd.specs {
-		if p := fd.Peers[spec.AS]; !p.Established() {
-			return fmt.Errorf("AS%d: session not established", spec.AS)
-		}
-	}
-	for _, spec := range fd.specs {
-		p := fd.Peers[spec.AS]
-		got, want := p.RIBDump(), fd.ServerView(spec.AS)
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			return fmt.Errorf("AS%d Loc-RIB diverges from server view\n peer:\n  %s\n server:\n  %s",
-				spec.AS, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
-		}
+	if err := fd.sessionsConverged(); err != nil {
+		return err
 	}
 	for _, name := range fd.names {
-		if fd.reds[name].Client() == nil {
+		if fd.OFClient(name) == nil {
 			return fmt.Errorf("switch %s: control channel down", name)
 		}
 		want, got := fd.ModelRules(name), fd.RemoteRules(name)
@@ -527,20 +281,6 @@ func (fd *FabricDeployment) VerifyTables() error {
 		}
 	}
 	return rep.Err()
-}
-
-// WaitConverged polls Converged until it holds on two consecutive checks
-// or the timeout passes.
-func (fd *FabricDeployment) WaitConverged(timeout time.Duration) error {
-	_, err := waitConverged(fd.Net.Clock(), timeout, fd.Converged)
-	return err
-}
-
-// WaitConvergedTimed is WaitConverged called at the moment a fault
-// heals; on success the fault-heal → steady-state latency is recorded
-// (virtual-clock) into the controller registry's ConvergeMetric.
-func (fd *FabricDeployment) WaitConvergedTimed(timeout time.Duration) error {
-	return waitConvergedTimed(fd.Net.Clock(), fd.Ctrl, timeout, fd.Converged)
 }
 
 // --- trunk transport ---------------------------------------------------------

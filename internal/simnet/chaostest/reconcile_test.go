@@ -95,3 +95,55 @@ func TestFabricReconcileRepairsRemote(t *testing.T) {
 			strings.Join(remote, "\n  "), strings.Join(model, "\n  "))
 	}
 }
+
+// TestFabricRecompileRetiresFastBand: the exchange's channel sinks
+// confirm with a barrier, so a full pass over live fast rules retires
+// them make before break — it keeps them installed for the retirement
+// grace after re-advertising, then removes them everywhere — and leaves
+// every remote table equal to its model.
+func TestFabricRecompileRetiresFastBand(t *testing.T) {
+	specs := []PeerSpec{
+		{AS: 100, Port: 1, Outbound: []sdx.Term{sdx.Fwd(sdx.MatchAll.DstPort(80), 200)}},
+		{AS: 200, Port: 2, Anns: []Announcement{
+			{Prefix: sdx.MustParsePrefix("11.0.0.0/8"), Path: []uint32{200}},
+			{Prefix: sdx.MustParsePrefix("12.0.0.0/8"), Path: []uint32{200}},
+		}},
+	}
+	n := simnet.New(31)
+	defer n.Close()
+	fd, err := StartFabric(n, 31, specs, twoSwitchTopo(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Stop()
+	if err := fd.WaitConverged(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The announcements arrived after the exchange's initial compile, so
+	// the fast path installed them.
+	if fd.Ctrl.FastRules() == 0 {
+		t.Fatal("no live fast rules before the recompile")
+	}
+
+	// fastRetireGrace in internal/core: a break-before-make pass deletes
+	// the fast band with the swap and returns without waiting it out.
+	const retireGrace = 50 * time.Millisecond
+	start := time.Now()
+	fd.Ctrl.Recompile()
+	if took := time.Since(start); took < retireGrace {
+		t.Fatalf("recompile returned after %v, inside the retirement grace: the fast band was not retired make before break", took)
+	}
+	if n := fd.Ctrl.FastRules(); n != 0 {
+		t.Fatalf("%d fast rules survived the recompile", n)
+	}
+	for _, name := range fd.SwitchNames() {
+		if err := fd.OFClient(name).Barrier(); err != nil {
+			t.Fatalf("switch %s barrier: %v", name, err)
+		}
+		model, remote := fd.ModelRules(name), fd.RemoteRules(name)
+		if strings.Join(model, "\n") != strings.Join(remote, "\n") {
+			t.Fatalf("switch %s diverges from its model after the recompile\n remote:\n  %s\n model:\n  %s",
+				name, strings.Join(remote, "\n  "), strings.Join(model, "\n  "))
+		}
+	}
+}

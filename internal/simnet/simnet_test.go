@@ -283,14 +283,16 @@ func TestScheduleDeterminism(t *testing.T) {
 				}
 				rest = rest[k:]
 			}
-			// Drain synchronously so read ops interleave deterministically.
-			for {
-				_ = c2.SetReadDeadline(time.Now().Add(time.Millisecond))
+			// Drain synchronously so read ops interleave deterministically:
+			// with zero latency every byte the pipe did not drop is due at
+			// once, so read until none is left instead of racing a
+			// wall-clock deadline.
+			for buffered(c2.(*Conn)) > 0 {
 				k, err := c2.Read(buf)
-				delivered = append(delivered, buf[:k]...)
 				if err != nil {
-					break
+					t.Fatal(err)
 				}
+				delivered = append(delivered, buf[:k]...)
 			}
 		}
 		return n.Trace(), delivered
@@ -310,6 +312,17 @@ func TestScheduleDeterminism(t *testing.T) {
 	if reflect.DeepEqual(t1, t3) {
 		t.Fatal("different seeds produced identical traces")
 	}
+}
+
+// buffered returns how many written bytes c has yet to read.
+func buffered(c *Conn) int {
+	c.rd.mu.Lock()
+	defer c.rd.mu.Unlock()
+	n := 0
+	for _, ck := range c.rd.buf {
+		n += len(ck.data)
+	}
+	return n
 }
 
 // TestScriptDeterminism: the generated chaos schedule is a pure function

@@ -39,8 +39,6 @@ import (
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
 	"sdx/internal/policy"
-	"sdx/internal/probe"
-	"sdx/internal/reconcile"
 	"sdx/internal/rs"
 	"sdx/internal/telemetry"
 )
@@ -241,51 +239,6 @@ type (
 // NewFabric builds a multi-switch fabric; attach it to a controller with
 // Controller.AddRuleMirror.
 var NewFabric = fabric.New
-
-// Continuous reconciliation: a background loop that diffs each switch's
-// intended table against what is actually installed and issues minimal
-// repairs (escalating to flush-and-replay on persistent drift).
-type (
-	// Reconciler is the continuous intended-vs-installed repair loop.
-	Reconciler = reconcile.Reconciler
-	// ReconcileConfig tunes pass interval and escalation threshold.
-	ReconcileConfig = reconcile.Config
-	// ReconcileTarget binds one switch's intended table, installed-state
-	// readback and repair sink into the loop.
-	ReconcileTarget = reconcile.Target
-	// ReconcileSink receives the repair operations for one target.
-	ReconcileSink = reconcile.Sink
-	// ReconcileDrift counts one target's missing/stale/extra entries and
-	// trunk coverage gaps.
-	ReconcileDrift = reconcile.Drift
-	// ReconcileSummary reports one full reconciliation pass.
-	ReconcileSummary = reconcile.Summary
-)
-
-// NewReconciler builds a reconciler over the given targets; run it with
-// Start or drive passes manually with RunOnce.
-var NewReconciler = reconcile.New
-
-// Dataplane liveness probing: injected probe packets that traverse the
-// forwarding path between participant ports and are punted back by the
-// delivering switch, yielding per-pair RTT and loss.
-type (
-	// Prober drives liveness probes across participant port pairs.
-	Prober = probe.Prober
-	// ProbeConfig tunes probe cadence, timeout and loss threshold.
-	ProbeConfig = probe.Config
-	// ProbePair is one directed (from, to) port pair under probing.
-	ProbePair = probe.Pair
-	// ProbePairHealth is the per-pair liveness verdict with RTT stats.
-	ProbePairHealth = probe.PairHealth
-)
-
-// NewProber builds a prober that injects probes through the given hook;
-// feed delivered probes back with Deliver.
-var NewProber = probe.New
-
-// ProbeEthType marks probe packets (IEEE local-experimental ethertype).
-const ProbeEthType = probe.EthType
 
 // Sampled flow export with BGP-correlated analytics: a 1-in-N dataplane
 // sampler feeds compact flow records into an aggregator that joins
