@@ -349,7 +349,7 @@ func BenchmarkFabricForwarding(b *testing.B) {
 	if len(comp.VMACs) == 0 {
 		b.Fatal("no groups")
 	}
-	p := Packet{
+	p := pkt.Packet{
 		EthType: 0x0800, DstMAC: comp.VMACs[0],
 		SrcIP: MustParseAddr("10.0.0.1"), DstIP: MustParseAddr("20.0.0.1"),
 		Proto: 6, DstPort: 80,

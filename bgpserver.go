@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sdx/internal/bgp"
+	"sdx/internal/core"
 	"sdx/internal/iputil"
 )
 
@@ -37,7 +38,7 @@ type BGPServer struct {
 	conns    map[net.Conn]struct{} // accepted, pre-handshake
 	sessions map[*bgp.Session]struct{}
 	peers    map[uint32]*bgp.Session // current session per peer AS
-	queue    *UpdateQueue            // optional coalescing ingestion queue
+	queue    *core.UpdateQueue       // optional coalescing ingestion queue
 }
 
 // UseIngestQueue routes received UPDATEs through the coalescing queue
@@ -46,14 +47,14 @@ type BGPServer struct {
 // queue's drainer applies coalesced batches via ApplyBatch — the
 // full-table-burst configuration. Call before the first session
 // connects; the queue's lifecycle (Stop) stays with the caller.
-func (s *BGPServer) UseIngestQueue(q *UpdateQueue) {
+func (s *BGPServer) UseIngestQueue(q *core.UpdateQueue) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.queue = q
 }
 
 // ingestQueue returns the configured ingestion queue, or nil.
-func (s *BGPServer) ingestQueue() *UpdateQueue {
+func (s *BGPServer) ingestQueue() *core.UpdateQueue {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.queue
@@ -92,7 +93,7 @@ func ServeBGP(ctrl *Controller, ln net.Listener, localAS uint32) *BGPServer {
 
 // serveBGP is ServeBGP with the ingestion queue q (nil for none) attached
 // before the first session can connect.
-func serveBGP(ctrl *Controller, ln net.Listener, localAS uint32, q *UpdateQueue) *BGPServer {
+func serveBGP(ctrl *Controller, ln net.Listener, localAS uint32, q *core.UpdateQueue) *BGPServer {
 	s := &BGPServer{
 		ctrl: ctrl, localAS: localAS,
 		routerID: MustParseAddr("172.0.255.254"),
@@ -221,7 +222,7 @@ func (s *BGPServer) handle(conn net.Conn) {
 	// Stream the controller's advertisements to this session. The sink is
 	// unregistered at teardown so reconnect cycles do not pile up dead
 	// sinks.
-	unregister, err := s.ctrl.OnRoute(peerAS, func(ad RouteAd) {
+	unregister, err := s.ctrl.OnRoute(peerAS, func(ad core.RouteAd) {
 		select {
 		case <-sess.Done():
 			return
@@ -258,7 +259,7 @@ func (s *BGPServer) handle(conn net.Conn) {
 	<-sess.Done()
 }
 
-func adToUpdate(ad RouteAd) *bgp.Update {
+func adToUpdate(ad core.RouteAd) *bgp.Update {
 	if ad.Withdraw {
 		return &bgp.Update{Withdrawn: []iputil.Prefix{ad.Prefix}}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sdx/internal/bgp"
+	"sdx/internal/core"
 	"sdx/internal/iputil"
 )
 
@@ -183,8 +184,9 @@ func TestBGPServerPeerUpFlushesQueuedUpdates(t *testing.T) {
 		NLRI:  []iputil.Prefix{seed},
 	}})
 	srv := listenForTest(t, ctrl)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxDelay: time.Hour})
+	q := core.NewUpdateQueue(ctrl, core.QueueConfig{})
 	defer q.Stop()
+	defer q.Hold()() // B1's update never drains on its own
 	srv.UseIngestQueue(q)
 
 	b1, err := DialBGP(srv.Addr(), bgp.SessionConfig{LocalAS: 200, RouterID: 2})

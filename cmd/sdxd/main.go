@@ -204,6 +204,9 @@ func loadConfig(ctrl *sdx.Controller, path string) ([]sdx.PortID, error) {
 			if err != nil {
 				return fail("bad AS %q", fields[1])
 			}
+			if fields[2] != "in" && fields[2] != "out" {
+				return fail("policy direction %q is neither in nor out", fields[2])
+			}
 			inbound := fields[2] == "in"
 			term, err := parseTerm(fields[3:], inbound)
 			if err != nil {

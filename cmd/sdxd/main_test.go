@@ -71,6 +71,7 @@ func TestLoadConfigErrors(t *testing.T) {
 		{"policy for unknown AS", "policy 999 out fwd 1 dstport 80"},
 		{"bad policy action", "participant 100 A 1\npolicy 100 out teleport 3"},
 		{"inbound fwd", "participant 100 A 1\npolicy 100 in fwd 200"},
+		{"bad direction", "participant 100 A 1\npolicy 100 inn fwd 200"},
 		{"outbound port", "participant 100 A 1\npolicy 100 out port 1"},
 		{"dangling match", "participant 100 A 1\npolicy 100 out drop dstport"},
 		{"bad dstport", "participant 100 A 1\npolicy 100 out drop dstport zz"},

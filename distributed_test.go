@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sdx/internal/bgp"
+	"sdx/internal/core"
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
 	"sdx/internal/openflow"
@@ -103,7 +104,7 @@ func TestDistributedFabric(t *testing.T) {
 	remote.Inject(1, web)
 	select {
 	case p := <-deliveredB:
-		if p.DstMAC != PortMAC(2) {
+		if p.DstMAC != core.PortMAC(2) {
 			t.Fatalf("remote delivery dstmac %v", p.DstMAC)
 		}
 	case <-time.After(time.Second):
@@ -192,10 +193,10 @@ func TestDistributedPacketInNormalForwarding(t *testing.T) {
 	}
 
 	// Empty remote table; dstmac = B's real port MAC.
-	remote.Inject(1, pkt.Packet{DstMAC: PortMAC(2), EthType: pkt.EthTypeIPv4})
+	remote.Inject(1, pkt.Packet{DstMAC: core.PortMAC(2), EthType: pkt.EthTypeIPv4})
 	select {
 	case p := <-delivered:
-		if p.DstMAC != PortMAC(2) {
+		if p.DstMAC != core.PortMAC(2) {
 			t.Fatalf("delivered %v", p)
 		}
 	case <-time.After(time.Second):

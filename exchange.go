@@ -12,6 +12,7 @@ import (
 	"sdx/internal/fabric"
 	"sdx/internal/flow"
 	"sdx/internal/openflow"
+	"sdx/internal/pkt"
 	"sdx/internal/probe"
 	"sdx/internal/reconcile"
 )
@@ -68,7 +69,7 @@ type ExchangeConfig struct {
 type Exchange struct {
 	ctrl  *Controller
 	srv   *BGPServer
-	queue *UpdateQueue
+	queue *core.UpdateQueue
 	model *fabric.Fabric
 	chans []*channel
 	rec   *reconcile.Reconciler
@@ -164,7 +165,7 @@ func StartExchange(ctrl *Controller, cfg ExchangeConfig) (*Exchange, error) {
 	if cfg.Dial != nil {
 		x.startFabric(ctx, cfg)
 	}
-	x.queue = NewUpdateQueue(ctrl, QueueConfig{})
+	x.queue = core.NewUpdateQueue(ctrl, core.QueueConfig{})
 	x.srv = serveBGP(ctrl, cfg.Listener, cfg.LocalAS, x.queue)
 	x.logf("route server listening on %s (AS%d)", x.srv.Addr(), cfg.LocalAS)
 	if cfg.OptimizeInterval > 0 {
@@ -271,8 +272,8 @@ func (x *Exchange) down(ch *channel, err error) {
 // destination port goes to the prober, an ARP request is answered, and
 // any other table miss gets normal layer-2 delivery through the same
 // switch.
-func (x *Exchange) packetIn(c *openflow.Client) func(Packet) {
-	return func(p Packet) {
+func (x *Exchange) packetIn(c *openflow.Client) func(pkt.Packet) {
+	return func(p pkt.Packet) {
 		if to, ok := probe.Destination(p); ok && to == p.InPort {
 			x.prb.Deliver(p.InPort, p)
 			return
@@ -332,7 +333,7 @@ func (x *Exchange) target(ch *channel, topo *fabric.Topology) reconcile.Target {
 }
 
 // inject offers a probe to the switch owning its source port.
-func (x *Exchange) inject(port PortID, p Packet) bool {
+func (x *Exchange) inject(port PortID, p pkt.Packet) bool {
 	name := singleSwitch
 	if x.model != nil {
 		name = x.model.Topo().Ports[port]

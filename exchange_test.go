@@ -11,6 +11,7 @@ import (
 
 	"sdx"
 	"sdx/internal/bgp"
+	"sdx/internal/core"
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
 	"sdx/internal/openflow"
@@ -117,7 +118,7 @@ func TestExchangeFencesRepairOnControllerWrite(t *testing.T) {
 	}
 
 	parked, release := sdx.ParkNextReadback(x)
-	done := make(chan sdx.CompileReport, 1)
+	done := make(chan core.CompileReport, 1)
 	sums := make(chan reconcile.Summary, 1)
 	go func() { sums <- rec.RunOnce() }()
 	<-parked
@@ -125,7 +126,7 @@ func TestExchangeFencesRepairOnControllerWrite(t *testing.T) {
 	go func() {
 		done <- ctrl.Recompile(sdx.CompilePolicy(100, nil, []sdx.Term{sdx.Fwd(sdx.MatchAll.DstPort(443), 300)}))
 	}()
-	var rep sdx.CompileReport
+	var rep core.CompileReport
 	select {
 	case rep = <-done:
 	case <-time.After(5 * time.Second):

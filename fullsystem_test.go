@@ -19,7 +19,9 @@ import (
 	"testing"
 	"time"
 
+	"sdx/internal/arp"
 	"sdx/internal/bgp"
+	"sdx/internal/core"
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
 	"sdx/internal/openflow"
@@ -110,10 +112,10 @@ func (r *tcpRouter) waitFIB(t *testing.T, dst Addr) Addr {
 // send resolves dst through the FIB and ARP (served by the controller's
 // responder, as a real deployment would over the wire) and injects the
 // packet on the router's fabric port.
-func (r *tcpRouter) send(t *testing.T, arp *ARPResponder, dst Addr, dstPort uint16) bool {
+func (r *tcpRouter) send(t *testing.T, resp *arp.Responder, dst Addr, dstPort uint16) bool {
 	t.Helper()
 	nh := r.waitFIB(t, dst)
-	mac, ok := arp.Resolve(nh)
+	mac, ok := resp.Resolve(nh)
 	if !ok {
 		return false
 	}
@@ -232,7 +234,7 @@ func TestFullSystemOverTCP(t *testing.T) {
 		t.Fatal("ARP resolution failed for the VNH")
 	}
 	got := b.take(t)
-	if len(got) != 1 || got[0].DstMAC != PortMAC(2) {
+	if len(got) != 1 || got[0].DstMAC != core.PortMAC(2) {
 		t.Fatalf("B received %v", got)
 	}
 	if n := len(c.take(t)); n != 0 {

@@ -54,6 +54,9 @@ func TestCoalescedBurstMatchesSerial(t *testing.T) {
 			if got, want := coal.Ctrl.RouteServer().UpdatesProcessed(), serial.Ctrl.RouteServer().UpdatesProcessed(); got >= want {
 				t.Fatalf("queue applied %d updates, serial %d — nothing coalesced", got, want)
 			}
+			if n := coal.Ctrl.Metrics().Counter("ingest.drains").Value(); n != 1 {
+				t.Fatalf("coalesced leg ran %d drains, want 1", n)
+			}
 
 			// Intermediate rule churn legitimately differs; the end state may
 			// not. Full recompile on both sides, then compare every observable.

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"sdx/internal/core"
 	"sdx/internal/dataplane"
@@ -130,16 +129,13 @@ func (in *Instance) Replay(tr *workload.Trace) int {
 
 // ReplayCoalesced feeds the same trace through a bounded coalescing
 // UpdateQueue instead: every event is enqueued (repeated updates to one
-// (peer, prefix) collapse to their final action) and a single Flush
-// applies the coalesced set as one ApplyBatch pass. The queue is sized so
-// no drain fires before the Flush, making the coalescing maximal — the
+// (peer, prefix) collapse to their final action) and Stop applies the
+// coalesced set as one ApplyBatch pass. The queue is held and sized so
+// no drain fires before Stop, making the coalescing maximal — the
 // hardest case for the serial-equivalence property.
 func (in *Instance) ReplayCoalesced(tr *workload.Trace) error {
-	q := core.NewUpdateQueue(in.Ctrl, core.QueueConfig{
-		MaxPending: 1 << 20,
-		MaxBatch:   1 << 20,
-		MaxDelay:   time.Hour,
-	})
+	q := core.NewUpdateQueue(in.Ctrl, core.QueueConfig{MaxPending: 1 << 20})
+	q.Hold()
 	for _, e := range tr.Events {
 		if err := q.Enqueue(e.Peer, e.Update); err != nil {
 			q.Stop()

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"sdx/internal/bgp"
 	"sdx/internal/iputil"
@@ -14,37 +13,13 @@ import (
 // ErrQueueClosed is returned by UpdateQueue.Enqueue after Stop.
 var ErrQueueClosed = errors.New("core: update queue closed")
 
-// QueueConfig tunes an UpdateQueue. The zero value selects the defaults.
+// QueueConfig tunes an UpdateQueue. The zero value selects the default.
 type QueueConfig struct {
 	// MaxPending bounds the coalesced pending set. Enqueue of a NEW
 	// (peer, prefix) entry blocks while the set is full — backpressure
 	// toward the BGP sessions; re-coalescing onto an existing entry never
 	// blocks, so a hot prefix cannot wedge its own feed. Default 65536.
 	MaxPending int
-	// MaxBatch is the pending-set size that triggers an immediate drain.
-	// Default 4096.
-	MaxBatch int
-	// MaxDelay bounds how long an entry may sit in the queue before a
-	// drain starts — the update→rule-install latency floor under light
-	// load. Default 2ms.
-	MaxDelay time.Duration
-}
-
-func (cfg *QueueConfig) withDefaults() QueueConfig {
-	out := *cfg
-	if out.MaxPending <= 0 {
-		out.MaxPending = 65536
-	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 4096
-	}
-	if out.MaxBatch > out.MaxPending {
-		out.MaxBatch = out.MaxPending
-	}
-	if out.MaxDelay <= 0 {
-		out.MaxDelay = 2 * time.Millisecond
-	}
-	return out
 }
 
 // updateKey identifies one coalescing slot: the route server's end state
@@ -83,6 +58,12 @@ type QueueStats struct {
 // costs one decision + one fast compile per drain cycle no matter how
 // fast it flaps.
 //
+// One rule starts a drain: the pending set is non-empty and no drain is
+// running. An update that reaches an idle queue is applied at once;
+// updates that arrive while a drain runs coalesce into the next one, so
+// a batch is only as large as the backlog one drain leaves behind. No
+// clock is involved.
+//
 // Ordering: entries drain in first-enqueue order, and a batch's effect is
 // identical to applying its entries one at a time (ApplyBatch contract);
 // coalescing is sound because the RIB end state per (prefix, peer) is
@@ -98,33 +79,30 @@ type QueueStats struct {
 //	ingest.install_ns      histogram first-enqueue → rules-installed latency
 //	ingest.blocked         counter   Enqueue calls that hit backpressure
 type UpdateQueue struct {
-	ctrl *Controller
-	cfg  QueueConfig
+	ctrl       *Controller
+	maxPending int
 
 	mu      sync.Mutex
-	notFull *sync.Cond
+	work    *sync.Cond // wakes the drainer: entries, a released hold, Flush, Stop
+	moved   *sync.Cond // broadcast on every swap and drain end, and on Stop
 	pending map[updateKey]*pendingUpdate
 	order   []updateKey // first-enqueue order, for deterministic drains
 	closed  bool
+	holds   int   // Hold calls not yet released
+	flushTo int64 // drains Flush waits for; a hold does not defer these
 
 	enqueued  int64
 	coalesced int64
-	drains    int64
+	drains    int64 // drain cycles started (batches swapped out)
+	finished  int64 // drain cycles whose ApplyBatch returned
 	applied   int64
 
-	// drainMu serializes drain cycles (ticker-driven, threshold-driven and
-	// explicit Flush) so batches reach the controller in drain order.
-	drainMu sync.Mutex
+	exited chan struct{} // closed when the drainer returns
 
-	kick     chan struct{}
-	done     chan struct{}
-	wg       sync.WaitGroup
-	stopOnce sync.Once
-
-	// testHookPreApply, when non-nil, runs between the batch swap and
-	// ApplyBatch — the window where entries exist only in the drainer's
-	// hands. Tests use it to freeze a drain mid-cycle and race Flush
-	// against Stop; production leaves it nil.
+	// testHookPreApply, when non-nil, runs on the drainer between the
+	// batch swap and ApplyBatch — the window where entries exist only in
+	// the drainer's hands. Tests use it to freeze a drain mid-cycle and
+	// race Flush against Stop; production leaves it nil.
 	testHookPreApply func()
 
 	mEnqueued  *telemetry.Counter
@@ -138,14 +116,17 @@ type UpdateQueue struct {
 // NewUpdateQueue builds and starts a queue in front of ctrl. Stop must be
 // called to halt the drainer.
 func NewUpdateQueue(ctrl *Controller, cfg QueueConfig) *UpdateQueue {
-	q := &UpdateQueue{
-		ctrl:    ctrl,
-		cfg:     cfg.withDefaults(),
-		pending: make(map[updateKey]*pendingUpdate),
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+	if cfg.MaxPending <= 0 {
+		cfg.MaxPending = 65536
 	}
-	q.notFull = sync.NewCond(&q.mu)
+	q := &UpdateQueue{
+		ctrl:       ctrl,
+		maxPending: cfg.MaxPending,
+		pending:    make(map[updateKey]*pendingUpdate),
+		exited:     make(chan struct{}),
+	}
+	q.work = sync.NewCond(&q.mu)
+	q.moved = sync.NewCond(&q.mu)
 	reg := ctrl.Metrics()
 	q.mEnqueued = reg.Counter("ingest.enqueued")
 	q.mCoalesced = reg.Counter("ingest.coalesced")
@@ -158,7 +139,6 @@ func NewUpdateQueue(ctrl *Controller, cfg QueueConfig) *UpdateQueue {
 		defer q.mu.Unlock()
 		return int64(len(q.pending))
 	})
-	q.wg.Add(1)
 	go q.drainLoop()
 	return q
 }
@@ -195,7 +175,8 @@ func (q *UpdateQueue) Enqueue(from uint32, u *bgp.Update) error {
 	// Admission: wait until every new entry this update needs fits at
 	// once. `need` is recomputed after each wakeup — a racing enqueuer
 	// may have inserted some of our keys meanwhile, turning them into
-	// coalesces that cost no slot.
+	// coalesces that cost no slot. A full set is never idle: a drain is
+	// running or due, and its swap wakes us.
 	for {
 		if q.closed {
 			return ErrQueueClosed
@@ -212,23 +193,23 @@ func (q *UpdateQueue) Enqueue(from uint32, u *bgp.Update) error {
 			seen[a.k] = struct{}{}
 			need++
 		}
-		if len(q.pending)+need <= q.cfg.MaxPending {
+		if len(q.pending)+need <= q.maxPending {
 			break
 		}
-		if need > q.cfg.MaxPending && len(q.pending) == 0 {
+		if need > q.maxPending && len(q.pending) == 0 {
 			// An update larger than the whole bound can never satisfy
 			// the normal condition; admit it against an empty set (one
 			// transient overshoot) instead of deadlocking its session.
 			break
 		}
 		q.mBlocked.Inc()
-		q.kickDrain()
 		//lint:ignore lockblock sync.Cond.Wait atomically releases q.mu while parked — this is the condition-variable idiom, not a blocking call under the lock
-		q.notFull.Wait()
+		q.moved.Wait()
 	}
 	for _, a := range acts {
 		q.putLocked(a.k, a.attrs)
 	}
+	q.work.Signal()
 	return nil
 }
 
@@ -247,70 +228,54 @@ func (q *UpdateQueue) putLocked(k updateKey, attrs *bgp.PathAttrs) {
 	}
 	q.pending[k] = &pendingUpdate{attrs: attrs, timer: telemetry.StartTimer(q.mInstallNS)}
 	q.order = append(q.order, k)
-	if len(q.pending) >= q.cfg.MaxBatch {
-		q.kickDrain()
-	}
 }
 
-// kickDrain nudges the drainer without blocking.
-func (q *UpdateQueue) kickDrain() {
-	select {
-	case q.kick <- struct{}{}:
-	default:
-	}
-}
-
-// drainLoop is the single drainer: it runs a cycle when kicked (pending
-// set hit MaxBatch or an enqueuer is blocked) and at least every
-// MaxDelay, and exits on Stop.
+// drainLoop is the single drainer and the queue's only applier: it
+// applies each batch nextBatch hands it, and exits once Stop has closed
+// the queue and the last batch is applied.
 func (q *UpdateQueue) drainLoop() {
-	defer q.wg.Done()
-	t := time.NewTicker(q.cfg.MaxDelay)
-	defer t.Stop()
+	defer close(q.exited)
 	for {
-		select {
-		case <-q.kick:
-			q.drainOnce()
-		case <-t.C:
-			q.drainOnce()
-		case <-q.done:
+		pending, order := q.nextBatch()
+		if order == nil {
 			return
 		}
+		q.apply(pending, order)
 	}
 }
 
-// drainOnce applies the current pending set as one batch. The swap holds
-// q.mu only briefly, so enqueuers keep filling the next batch while the
-// controller chews on this one; drainMu keeps concurrent cycles (ticker +
-// kick + Flush) in order.
-func (q *UpdateQueue) drainOnce() {
-	q.drainMu.Lock()
-	defer q.drainMu.Unlock()
-
-	//lint:ignore lockblock drainMu-before-mu is the queue's only lock order (never reversed); the nested hold is a brief swap, and q.mu holders never wait on drainMu
+// nextBatch waits until a drain is due — entries pending, and either no
+// hold, a Flush waiting on them, or the queue closed — then swaps the
+// pending set out, so enqueuers fill the next batch while the controller
+// chews on this one. It returns a nil order once the queue is closed and
+// empty.
+func (q *UpdateQueue) nextBatch() (map[updateKey]*pendingUpdate, []updateKey) {
 	q.mu.Lock()
-	if len(q.pending) == 0 {
-		q.mu.Unlock()
-		return
+	defer q.mu.Unlock()
+	for len(q.pending) == 0 || (q.holds > 0 && !q.closed && q.drains >= q.flushTo) {
+		if q.closed {
+			return nil, nil
+		}
+		//lint:ignore lockblock sync.Cond.Wait atomically releases q.mu while parked — the drainer idles here, holding nothing
+		q.work.Wait()
 	}
 	pending, order := q.pending, q.order
 	q.pending = make(map[updateKey]*pendingUpdate)
 	q.order = nil
 	q.drains++
-	q.notFull.Broadcast()
-	q.mu.Unlock()
+	q.moved.Broadcast()
+	return pending, order
+}
 
-	// From here until ApplyBatch returns, the swapped entries exist only
-	// in this frame: they are gone from q.pending (a concurrent Flush or
-	// Stop sees an empty set) but not yet in the route server. drainMu —
-	// held for the whole cycle — is what makes that window safe: every
-	// other drain path, including Stop's final sweep, queues behind it,
-	// so the batch is always applied before anyone can conclude the
-	// queue is empty. TestQueueFlushStopRace pins this down.
+// apply installs one swapped batch. Until ApplyBatch returns, the
+// entries exist only in this frame: gone from q.pending but not yet in
+// the route server. Flush waits on `finished`, not on an empty pending
+// set, and Stop waits for the drainer to exit, so neither can return
+// inside that window. TestQueueFlushStopRace pins this down.
+func (q *UpdateQueue) apply(pending map[updateKey]*pendingUpdate, order []updateKey) {
 	if q.testHookPreApply != nil {
 		q.testHookPreApply()
 	}
-
 	batch := make([]rs.PeerUpdate, 0, len(order))
 	for _, k := range order {
 		e := pending[k]
@@ -329,40 +294,64 @@ func (q *UpdateQueue) drainOnce() {
 	for _, k := range order {
 		pending[k].timer.Stop()
 	}
-
-	//lint:ignore lockblock same drainMu-before-mu order as above; counter bump only
-	q.mu.Lock()
-	q.applied += int64(len(order))
-	q.mu.Unlock()
 	q.mDrains.Inc()
 	q.mBatchSize.Observe(int64(len(order)))
+
+	q.mu.Lock()
+	q.applied += int64(len(order))
+	q.finished++
+	q.moved.Broadcast()
+	q.mu.Unlock()
 }
 
-// Flush synchronously drains whatever is pending. Useful before reading
-// controller state in tests and during shutdown.
+// Flush returns once every entry enqueued before the call has been
+// applied. It waits for the drain that takes the current pending set,
+// not for an empty queue, so it returns under continuous load from other
+// enqueuers. The drainer does the work; Flush overrides a Hold.
 func (q *UpdateQueue) Flush() {
-	q.drainOnce()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	target := q.drains // a drain in flight holds entries enqueued before us
+	if len(q.pending) > 0 {
+		target++
+		q.flushTo = max(q.flushTo, target)
+		q.work.Signal()
+	}
+	for q.finished < target {
+		//lint:ignore lockblock sync.Cond.Wait atomically releases q.mu while parked — Flush waits for the drainer, holding nothing
+		q.moved.Wait()
+	}
 }
 
-// Stop drains remaining entries, halts the drainer and releases any
-// blocked enqueuers. Enqueue fails with ErrQueueClosed afterwards.
-// Idempotent: extra calls (including concurrent ones) wait for the
-// first to finish and return without re-closing the done channel.
-//
-// The final drainOnce serializes behind any in-flight Flush via
-// drainMu, so a batch that a Flush had already swapped out of the
-// pending set is fully applied before Stop returns — entries are never
-// lost or double-applied across the Flush/Stop seam.
-func (q *UpdateQueue) Stop() {
-	q.stopOnce.Do(func() {
+// Hold stops the drainer from starting drains on its own until release
+// is called (once); Flush and Stop still drain. Tests use it to make
+// coalescing maximal and drain counts exact. Production never calls it:
+// an unreleased hold turns the queue into one that drains only on Flush.
+func (q *UpdateQueue) Hold() (release func()) {
+	q.mu.Lock()
+	q.holds++
+	q.mu.Unlock()
+	return func() {
 		q.mu.Lock()
-		q.closed = true
-		q.notFull.Broadcast()
+		q.holds--
+		q.work.Signal()
 		q.mu.Unlock()
-		close(q.done)
-		q.wg.Wait()
-		q.drainOnce()
-	})
+	}
+}
+
+// Stop applies whatever is pending (a hold notwithstanding), halts the
+// drainer and releases any blocked enqueuers; Enqueue fails with
+// ErrQueueClosed afterwards. A batch the drainer had already swapped out
+// is applied before Stop returns — entries are never lost or
+// double-applied across a Flush/Stop seam. Idempotent and safe to call
+// concurrently: every call returns once the drainer has exited.
+func (q *UpdateQueue) Stop() {
+	q.mu.Lock()
+	q.closed = true
+	q.work.Signal()
+	q.moved.Broadcast()
+	q.mu.Unlock()
+	<-q.exited
 }
 
 // Stats returns a snapshot of the queue's counters.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,10 +37,22 @@ func announceU(as uint32, salt uint32, ps ...iputil.Prefix) *bgp.Update {
 	}
 }
 
+// waitUntil spins (yielding, never sleeping) until cond holds, failing
+// the test after a generous deadline.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 func TestQueueCoalescesToLastAction(t *testing.T) {
 	ctrl := ingestFixture(t, 3)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxDelay: time.Hour}) // drain only on Flush
+	q := NewUpdateQueue(ctrl, QueueConfig{})
 	defer q.Stop()
+	defer q.Hold()() // drain only on Flush
 
 	p := pfxI(1)
 	// 50 flaps of the same (peer, prefix) collapse to one entry whose
@@ -81,8 +95,9 @@ func TestQueueCoalescesToLastAction(t *testing.T) {
 
 func TestQueueTrailingWithdrawWins(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxDelay: time.Hour})
+	q := NewUpdateQueue(ctrl, QueueConfig{})
 	defer q.Stop()
+	defer q.Hold()()
 
 	p := pfxI(2)
 	if err := q.Enqueue(100, announceU(100, 1, p)); err != nil {
@@ -99,8 +114,9 @@ func TestQueueTrailingWithdrawWins(t *testing.T) {
 
 func TestQueueBackpressureBlocksAndReleases(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxPending: 2, MaxBatch: 1 << 20, MaxDelay: time.Hour})
+	q := NewUpdateQueue(ctrl, QueueConfig{MaxPending: 2})
 	defer q.Stop()
+	release := q.Hold()
 
 	if err := q.Enqueue(100, announceU(100, 1, pfxI(10))); err != nil {
 		t.Fatal(err)
@@ -120,8 +136,9 @@ func TestQueueBackpressureBlocksAndReleases(t *testing.T) {
 		t.Fatal("coalescing enqueue blocked on a full queue")
 	}
 
-	// A new entry must block until a drain frees capacity. The blocked
-	// enqueuer kicks the drainer itself, so no explicit Flush is needed.
+	// A new entry must block until a drain frees capacity. Releasing
+	// the hold lets the drainer take the full set, which admits it; no
+	// Flush is needed.
 	done := make(chan error, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -129,6 +146,14 @@ func TestQueueBackpressureBlocksAndReleases(t *testing.T) {
 		defer wg.Done()
 		done <- q.Enqueue(100, announceU(100, 1, pfxI(12)))
 	}()
+	blocked := ctrl.Metrics().Counter("ingest.blocked")
+	waitUntil(t, "the third entry to hit backpressure", func() bool { return blocked.Value() > 0 })
+	select {
+	case <-done:
+		t.Fatal("new entry admitted into a full, held queue")
+	default:
+	}
+	release()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -146,7 +171,8 @@ func TestQueueBackpressureBlocksAndReleases(t *testing.T) {
 
 func TestQueueStopDrainsAndRejects(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxDelay: time.Hour})
+	q := NewUpdateQueue(ctrl, QueueConfig{})
+	q.Hold() // Stop drains despite an unreleased hold
 	p := pfxI(20)
 	if err := q.Enqueue(100, announceU(100, 3, p)); err != nil {
 		t.Fatal(err)
@@ -160,28 +186,94 @@ func TestQueueStopDrainsAndRejects(t *testing.T) {
 	}
 }
 
-func TestQueueThresholdDrainWithoutFlush(t *testing.T) {
+// TestQueueIdleDrainWithoutFlush: an update that reaches an idle queue
+// is applied by the drainer on its own — no Flush, no timer. The
+// advertisement to the other participant is the proof of application.
+func TestQueueIdleDrainWithoutFlush(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxBatch: 8, MaxDelay: time.Hour})
+	q := NewUpdateQueue(ctrl, QueueConfig{})
 	defer q.Stop()
-	for i := 0; i < 8; i++ {
-		if err := q.Enqueue(100, announceU(100, 1, pfxI(30+i))); err != nil {
-			t.Fatal(err)
+	ads := make(chan RouteAd, 1)
+	unregister, err := ctrl.OnRoute(101, func(ad RouteAd) {
+		select {
+		case ads <- ad:
+		default:
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unregister()
+
+	p := pfxI(30)
+	if err := q.Enqueue(100, announceU(100, 1, p)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ad := <-ads:
+		if ad.Prefix != p || ad.Withdraw {
+			t.Fatalf("advertisement %+v, want an announcement of %s", ad, p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("idle queue never applied the update without a Flush")
+	}
+}
+
+// TestQueueFlushUnderLoad: Flush waits for the entries enqueued before
+// it, not for an empty queue, so it returns while another session keeps
+// enqueueing fresh keys — the BGPServer flushes before PeerUp while
+// other peers are still sending.
+func TestQueueFlushUnderLoad(t *testing.T) {
+	ctrl := ingestFixture(t, 2)
+	q := NewUpdateQueue(ctrl, QueueConfig{})
+	defer q.Stop()
+
+	var sent atomic.Int64 // Enqueue calls that have returned
+	stop := make(chan struct{})
+	producer := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				producer <- nil
+				return
+			default:
+			}
+			if err := q.Enqueue(100, announceU(100, 1, pfxI(i%60000))); err != nil {
+				producer <- err
+				return
+			}
+			sent.Store(int64(i + 1))
+		}
+	}()
+	waitUntil(t, "the producer to get going", func() bool { return sent.Load() >= 100 })
+
+	for round := 0; round < 3; round++ {
+		n := sent.Load()
+		flushed := make(chan struct{})
+		go func() { q.Flush(); close(flushed) }()
+		select {
+		case <-flushed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Flush did not return under continuous load")
+		}
+		for i := int64(0); i < min(n, 60000); i++ {
+			if _, ok := ctrl.RouteServer().BestRoute(101, pfxI(int(i))); !ok {
+				t.Fatalf("round %d: entry %d of %d enqueued before Flush not applied", round, i, n)
+			}
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for ctrl.RouteServer().UpdatesProcessed() < 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("threshold drain never ran: %d updates processed", ctrl.RouteServer().UpdatesProcessed())
-		}
-		time.Sleep(time.Millisecond)
+	close(stop)
+	if err := <-producer; err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestQueueTelemetryPublished(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxDelay: time.Hour})
+	q := NewUpdateQueue(ctrl, QueueConfig{})
 	defer q.Stop()
+	defer q.Hold()()
 	for i := 0; i < 4; i++ {
 		if err := q.Enqueue(100, announceU(100, uint32(i), pfxI(40))); err != nil {
 			t.Fatal(err)
@@ -201,14 +293,15 @@ func TestQueueTelemetryPublished(t *testing.T) {
 	}
 }
 
-// TestQueueFlushStopRace freezes a Flush mid-drain — after the batch
-// swap, before ApplyBatch, via the test seam — and races Stop against
-// it. The swapped batch must still be applied (drainMu covers the
-// window), an entry enqueued during the stall must drain through Stop's
-// final sweep, and nothing is applied twice.
+// TestQueueFlushStopRace freezes the drain a Flush asked for — after
+// the batch swap, before ApplyBatch, via the test seam — and races Stop
+// against it. Neither may return before the swapped batch is applied,
+// an entry enqueued during the stall must drain before Stop returns, and
+// nothing is applied twice.
 func TestQueueFlushStopRace(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxDelay: time.Hour})
+	q := NewUpdateQueue(ctrl, QueueConfig{})
+	q.Hold()
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -225,7 +318,7 @@ func TestQueueFlushStopRace(t *testing.T) {
 	}
 	flushed := make(chan struct{})
 	go func() { q.Flush(); close(flushed) }()
-	<-entered // Flush holds the swapped batch; pending is empty again
+	<-entered // the drainer holds the swapped batch; pending is empty again
 
 	// An entry arrives during the stalled drain, and Stop races the
 	// in-flight Flush.
@@ -235,11 +328,13 @@ func TestQueueFlushStopRace(t *testing.T) {
 	stopped := make(chan struct{})
 	go func() { q.Stop(); close(stopped) }()
 
-	// Stop cannot complete while the Flush still holds drainMu with an
-	// unapplied batch.
+	// Neither Stop nor Flush can complete while the drainer holds a
+	// swapped, unapplied batch.
 	select {
 	case <-stopped:
 		t.Fatal("Stop completed while a drain held a swapped, unapplied batch")
+	case <-flushed:
+		t.Fatal("Flush completed while a drain held a swapped, unapplied batch")
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
@@ -266,10 +361,11 @@ func TestQueueFlushStopRace(t *testing.T) {
 // update and discarded the rest with an error.
 func TestQueueEnqueueAtomicOnStop(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxPending: 2, MaxDelay: time.Hour})
+	q := NewUpdateQueue(ctrl, QueueConfig{MaxPending: 2})
+	q.Hold()
 
 	// Stall the drainer: a sacrificial entry's drain freezes in the
-	// seam holding drainMu, so backpressure kicks cannot free capacity.
+	// seam, so no further drain can free capacity.
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -294,12 +390,7 @@ func TestQueueEnqueueAtomicOnStop(t *testing.T) {
 	go func() { done <- q.Enqueue(100, announceU(100, 2, pfxI(62), pfxI(63))) }()
 
 	blocked := ctrl.Metrics().Counter("ingest.blocked")
-	for deadline := time.Now().Add(10 * time.Second); blocked.Value() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("two-prefix enqueue never hit backpressure")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the two-prefix enqueue to hit backpressure", func() bool { return blocked.Value() > 0 })
 	// The old code would have inserted pfxI(62) here (depth 2) before
 	// blocking on pfxI(63); atomic admission inserts nothing.
 	if st := q.Stats(); st.Depth != 1 {
@@ -333,7 +424,8 @@ func TestQueueEnqueueAtomicOnStop(t *testing.T) {
 // path already ran — panicked on the closed channel.
 func TestQueueStopIdempotent(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxDelay: time.Hour})
+	q := NewUpdateQueue(ctrl, QueueConfig{})
+	q.Hold()
 	if err := q.Enqueue(100, announceU(100, 1, pfxI(70))); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +453,7 @@ func TestQueueStopIdempotent(t *testing.T) {
 // rather than deadlocking its session forever.
 func TestQueueOversizedUpdateAdmitted(t *testing.T) {
 	ctrl := ingestFixture(t, 2)
-	q := NewUpdateQueue(ctrl, QueueConfig{MaxPending: 2, MaxDelay: time.Millisecond})
+	q := NewUpdateQueue(ctrl, QueueConfig{MaxPending: 2})
 	defer q.Stop()
 	big := announceU(100, 1, pfxI(80), pfxI(81), pfxI(82), pfxI(83))
 	done := make(chan error, 1)

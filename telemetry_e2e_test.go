@@ -13,13 +13,15 @@ import (
 	"time"
 
 	"sdx/internal/bgp"
+	"sdx/internal/core"
 	"sdx/internal/iputil"
+	"sdx/internal/telemetry"
 )
 
 func TestTelemetryEndToEnd(t *testing.T) {
-	reg := NewRegistry()
-	tracer := NewTracer(8192)
-	ctrl := New(WithTelemetry(reg), WithTracer(tracer))
+	reg := telemetry.NewRegistry()
+	tracer := telemetry.NewTracer(8192)
+	ctrl := New(core.WithTelemetry(reg), core.WithTracer(tracer))
 	if ctrl.Metrics() != reg || ctrl.Tracer() != tracer {
 		t.Fatal("injected registry/tracer not adopted")
 	}
@@ -72,7 +74,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	// Every counted update was traced and timed.
 	n := updatesIn.Value()
-	if traced := tracer.CountByType(EventBGPUpdateReceived); traced != uint64(n) {
+	if traced := tracer.CountByType(telemetry.EventBGPUpdateReceived); traced != uint64(n) {
 		t.Fatalf("updates_in %d but %d BGPUpdateReceived events traced", n, traced)
 	}
 	if timed := reg.Histogram("controller.update_ns").Count(); timed != n {
@@ -92,7 +94,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if ch.Sum() == 0 || ch.Quantile(0.5) == 0 {
 		t.Fatal("compile-latency histogram is empty")
 	}
-	if done := tracer.CountByType(EventCompileDone); done != uint64(compiles) {
+	if done := tracer.CountByType(telemetry.EventCompileDone); done != uint64(compiles) {
 		t.Fatalf("%d full compiles but %d CompileDone events", compiles, done)
 	}
 
@@ -103,7 +105,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if v := reg.Counter("bgp.sessions_established").Value(); v < 1 {
 		t.Fatal("no established session counted")
 	}
-	if tracer.CountByType(EventSessionStateChange) == 0 {
+	if tracer.CountByType(telemetry.EventSessionStateChange) == 0 {
 		t.Fatal("no session state change traced")
 	}
 
