@@ -81,18 +81,12 @@ func ListenBGP(ctrl *Controller, addr string, localAS uint32) (*BGPServer, error
 	if err != nil {
 		return nil, err
 	}
-	return ServeBGP(ctrl, ln, localAS), nil
+	return serveBGP(ctrl, ln, localAS, nil), nil
 }
 
-// ServeBGP runs a route-server endpoint on an existing listener — the
-// seam that lets tests drive the real server over an in-memory
-// fault-injection transport instead of TCP.
-func ServeBGP(ctrl *Controller, ln net.Listener, localAS uint32) *BGPServer {
-	return serveBGP(ctrl, ln, localAS, nil)
-}
-
-// serveBGP is ServeBGP with the ingestion queue q (nil for none) attached
-// before the first session can connect.
+// serveBGP runs a route-server endpoint on an existing listener, with
+// the ingestion queue q (nil for none) attached before the first session
+// can connect.
 func serveBGP(ctrl *Controller, ln net.Listener, localAS uint32, q *core.UpdateQueue) *BGPServer {
 	s := &BGPServer{
 		ctrl: ctrl, localAS: localAS,

@@ -50,41 +50,93 @@ func chaosSpecs() []chaostest.PeerSpec {
 	}
 }
 
+// chaosTopo is the single-switch fabric: one switch holding every port
+// of chaosSpecs, and no trunks.
+func chaosTopo() sdx.FabricTopology {
+	return sdx.FabricTopology{
+		Switches: []string{"fabric"},
+		Ports:    map[sdx.PortID]string{1: "fabric", 2: "fabric", 4: "fabric"},
+	}
+}
+
 // chaosState is everything a run must agree on with its golden twin,
 // already normalized for cross-run comparison.
 type chaosState struct {
-	ribs  map[uint32]string // per-AS Loc-RIB dump
-	canon string            // Compiled.Canonical of the controller
+	ribs   map[uint32]string // per-AS Loc-RIB dump
+	canon  string            // Compiled.Canonical of the controller
+	tables map[string]string // per-switch rule dump
 }
 
 // settleAndCapture drives a converged deployment to its quiescent
 // installed state (recompile so the fast band folds away, then barrier
-// the control channel) and captures it. It also asserts the remote
-// fabric's table is byte-identical to the controller's local one.
-func settleAndCapture(t *testing.T, seed int64, d *chaostest.Deployment) chaosState {
+// every control channel) and captures it, asserting every remote
+// switch's table is byte-identical to the local model's — the static
+// trunk band included.
+func settleAndCapture(t *testing.T, seed int64, fd *chaostest.FabricDeployment) chaosState {
 	t.Helper()
-	d.Ctrl.Recompile()
-	client := d.OFClient()
-	if client == nil {
-		t.Fatalf("seed %d: control channel down after convergence", seed)
+	fd.Ctrl.Recompile()
+	for _, name := range fd.SwitchNames() {
+		client := fd.OFClient(name)
+		if client == nil {
+			t.Fatalf("seed %d: switch %s control channel down after convergence", seed, name)
+		}
+		if err := client.Barrier(); err != nil {
+			t.Fatalf("seed %d: switch %s barrier: %v", seed, name, err)
+		}
 	}
-	if err := client.Barrier(); err != nil {
-		t.Fatalf("seed %d: barrier: %v", seed, err)
-	}
-	if n := d.Ctrl.FastRules(); n != 0 {
+	if n := fd.Ctrl.FastRules(); n != 0 {
 		t.Fatalf("seed %d: %d fast-path rules survived the recompile", seed, n)
 	}
-	local, remote := d.LocalRules(), d.RemoteRules()
-	if strings.Join(local, "\n") != strings.Join(remote, "\n") {
-		t.Fatalf("seed %d: remote fabric diverges from local\n local:\n  %s\n remote:\n  %s",
-			seed, strings.Join(local, "\n  "), strings.Join(remote, "\n  "))
+	st := chaosState{ribs: make(map[uint32]string), tables: make(map[string]string)}
+	for _, name := range fd.SwitchNames() {
+		// Equality is polled, not asserted one-shot: with the continuous
+		// reconciler running, a repair computed against the pre-recompile
+		// intent may still be landing; it is drift on the next pass and
+		// heals within a couple of reconcile intervals.
+		var model, remote []string
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			model, remote = fd.ModelRules(name), fd.RemoteRules(name)
+			if strings.Join(model, "\n") == strings.Join(remote, "\n") {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d: switch %s remote table diverges from model\n remote:\n  %s\n model:\n  %s",
+					seed, name, strings.Join(remote, "\n  "), strings.Join(model, "\n  "))
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		st.tables[name] = strings.Join(chaostest.Normalize(remote), "\n")
 	}
-	st := chaosState{ribs: make(map[uint32]string)}
-	for as, p := range d.Peers {
+	for as, p := range fd.Peers {
 		st.ribs[as] = strings.Join(chaostest.Normalize(p.RIBDump()), "\n")
 	}
-	st.canon = chaostest.NormalizeText(d.Ctrl.Compiled().Canonical())
+	st.canon = chaostest.NormalizeText(fd.Ctrl.Compiled().Canonical())
 	return st
+}
+
+// compareStates reports every way a faulted run's settled state differs
+// from its golden twin's.
+func compareStates(t *testing.T, seed int64, got, want chaosState, script *simnet.Script) {
+	t.Helper()
+	for as, wantRIB := range want.ribs {
+		if got.ribs[as] != wantRIB {
+			t.Errorf("seed %d: AS%d post-heal Loc-RIB != fault-free run\n got:\n  %s\n want:\n  %s\nschedule:\n%s",
+				seed, as, strings.ReplaceAll(got.ribs[as], "\n", "\n  "),
+				strings.ReplaceAll(wantRIB, "\n", "\n  "), script)
+		}
+	}
+	if got.canon != want.canon {
+		t.Errorf("seed %d: post-heal compilation != fault-free run\n got:\n%s\n want:\n%s\nschedule:\n%s",
+			seed, got.canon, want.canon, script)
+	}
+	for name, wantTable := range want.tables {
+		if got.tables[name] != wantTable {
+			t.Errorf("seed %d: switch %s post-heal table != fault-free run\n got:\n  %s\n want:\n  %s\nschedule:\n%s",
+				seed, name, strings.ReplaceAll(got.tables[name], "\n", "\n  "),
+				strings.ReplaceAll(wantTable, "\n", "\n  "), script)
+		}
+	}
 }
 
 // runChaos executes one golden + one faulted run for a seed and asserts
@@ -94,9 +146,13 @@ func runChaos(t *testing.T, seed int64) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
 
+	// The reconciler repairs flow-mods lost while a control channel stays
+	// up, at the fabric suites' period; sdxd runs it by default.
+	opts := chaostest.Options{ReconcileInterval: 25 * time.Millisecond}
+
 	// Golden run: same topology, no faults.
 	goldenNet := simnet.New(seed)
-	golden, err := chaostest.Start(goldenNet, seed, chaosSpecs(), chaostest.Options{})
+	golden, err := chaostest.StartFabric(goldenNet, seed, chaosSpecs(), chaosTopo(), opts)
 	if err != nil {
 		t.Fatalf("seed %d: golden start: %v", seed, err)
 	}
@@ -112,7 +168,7 @@ func runChaos(t *testing.T, seed int64) {
 
 	// Faulted run: identical stack, plus the seed's fault schedule.
 	n := simnet.New(seed)
-	d, err := chaostest.Start(n, seed, chaosSpecs(), chaostest.Options{})
+	d, err := chaostest.StartFabric(n, seed, chaosSpecs(), chaosTopo(), opts)
 	if err != nil {
 		t.Fatalf("seed %d: start: %v", seed, err)
 	}
@@ -120,7 +176,7 @@ func runChaos(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: pre-fault convergence: %v", seed, err)
 	}
 
-	script := simnet.GenScript(seed, chaostest.Targets(chaosSpecs()))
+	script := simnet.GenScript(seed, chaostest.Targets(chaosSpecs(), chaosTopo()))
 	if kinds := script.Kinds(); len(kinds) < 4 {
 		t.Fatalf("seed %d: schedule injects only %v", seed, kinds)
 	}
@@ -138,19 +194,7 @@ func runChaos(t *testing.T, seed int64) {
 	if err := d.VerifyTables(); err != nil {
 		t.Errorf("seed %d: post-heal tables: %v", seed, err)
 	}
-	got := settleAndCapture(t, seed, d)
-
-	for as, wantRIB := range want.ribs {
-		if got.ribs[as] != wantRIB {
-			t.Errorf("seed %d: AS%d post-heal Loc-RIB != fault-free run\n got:\n  %s\n want:\n  %s\nschedule:\n%s",
-				seed, as, strings.ReplaceAll(got.ribs[as], "\n", "\n  "),
-				strings.ReplaceAll(wantRIB, "\n", "\n  "), script)
-		}
-	}
-	if got.canon != want.canon {
-		t.Errorf("seed %d: post-heal compilation != fault-free run\n got:\n%s\n want:\n%s\nschedule:\n%s",
-			seed, got.canon, want.canon, script)
-	}
+	compareStates(t, seed, settleAndCapture(t, seed, d), want, script)
 
 	// Telemetry consistency: the schedule's >1s stall/partition windows
 	// must have expired at least one hold timer, and after teardown every
@@ -225,7 +269,7 @@ func TestChaosConvergence(t *testing.T) {
 // produce distinct schedules. This is what makes any soak failure a
 // one-seed repro.
 func TestChaosScriptReproducibility(t *testing.T) {
-	targets := chaostest.Targets(chaosSpecs())
+	targets := chaostest.Targets(chaosSpecs(), chaosTopo())
 	var traces []string
 	for _, seed := range chaosSeeds {
 		a := simnet.GenScript(seed, targets)
@@ -248,7 +292,7 @@ func TestChaosScriptReproducibility(t *testing.T) {
 func TestChaosSessionStates(t *testing.T) {
 	n := simnet.New(7)
 	defer n.Close()
-	d, err := chaostest.Start(n, 7, chaosSpecs(), chaostest.Options{})
+	d, err := chaostest.StartFabric(n, 7, chaosSpecs(), chaosTopo(), chaostest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

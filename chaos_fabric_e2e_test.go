@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,60 +122,6 @@ func inboundTEProbes() []fabricProbe {
 	}
 }
 
-// fabricState is everything a faulted fabric run must agree on with its
-// golden twin, already normalized for cross-run comparison.
-type fabricState struct {
-	ribs   map[uint32]string
-	canon  string
-	tables map[string]string // per-switch rule dump
-}
-
-// settleAndCaptureFabric drives a converged fabric deployment quiescent
-// and captures its state, asserting every remote switch's table is
-// byte-identical to the local model's — the static trunk band included.
-func settleAndCaptureFabric(t *testing.T, seed int64, fd *chaostest.FabricDeployment) fabricState {
-	t.Helper()
-	fd.Ctrl.Recompile()
-	for _, name := range fd.SwitchNames() {
-		client := fd.OFClient(name)
-		if client == nil {
-			t.Fatalf("seed %d: switch %s control channel down after convergence", seed, name)
-		}
-		if err := client.Barrier(); err != nil {
-			t.Fatalf("seed %d: switch %s barrier: %v", seed, name, err)
-		}
-	}
-	if n := fd.Ctrl.FastRules(); n != 0 {
-		t.Fatalf("seed %d: %d fast-path rules survived the recompile", seed, n)
-	}
-	st := fabricState{ribs: make(map[uint32]string), tables: make(map[string]string)}
-	for _, name := range fd.SwitchNames() {
-		// Equality is polled, not asserted one-shot: with the continuous
-		// reconciler running, a repair computed against the pre-recompile
-		// intent may still be landing; it is drift on the next pass and
-		// heals within a couple of reconcile intervals.
-		var model, remote []string
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			model, remote = fd.ModelRules(name), fd.RemoteRules(name)
-			if strings.Join(model, "\n") == strings.Join(remote, "\n") {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("seed %d: switch %s remote table diverges from model\n remote:\n  %s\n model:\n  %s",
-					seed, name, strings.Join(remote, "\n  "), strings.Join(model, "\n  "))
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		st.tables[name] = strings.Join(chaostest.Normalize(remote), "\n")
-	}
-	for as, p := range fd.Peers {
-		st.ribs[as] = strings.Join(chaostest.Normalize(p.RIBDump()), "\n")
-	}
-	st.canon = chaostest.NormalizeText(fd.Ctrl.Compiled().Canonical())
-	return st
-}
-
 // probeFabric pushes every probe through the remote fabric and waits for
 // delivery on the expected egress port. Injections are retried: right
 // after a heal a trunk may still be relinking, and chaos probes must
@@ -270,7 +215,7 @@ func runFabricChaos(t *testing.T, seed int64, specs []chaostest.PeerSpec, probes
 	if err := golden.VerifyTables(); err != nil {
 		t.Fatalf("seed %d: golden run tables: %v", seed, err)
 	}
-	want := settleAndCaptureFabric(t, seed, golden)
+	want := settleAndCapture(t, seed, golden)
 	probeFabric(t, seed, golden, probes, "golden")
 	golden.Stop()
 	goldenNet.Close()
@@ -284,7 +229,7 @@ func runFabricChaos(t *testing.T, seed int64, specs []chaostest.PeerSpec, probes
 		t.Fatalf("seed %d: pre-fault convergence: %v", seed, err)
 	}
 
-	script := simnet.GenScript(seed, fd.Targets())
+	script := simnet.GenScript(seed, chaostest.Targets(specs, fabricTopo(ports)))
 	kinds := script.Kinds()
 	if len(kinds) < 4 {
 		t.Fatalf("seed %d: schedule injects only %v", seed, kinds)
@@ -309,26 +254,7 @@ func runFabricChaos(t *testing.T, seed int64, specs []chaostest.PeerSpec, probes
 	if err := fd.VerifyTables(); err != nil {
 		t.Errorf("seed %d: post-heal tables: %v", seed, err)
 	}
-	got := settleAndCaptureFabric(t, seed, fd)
-
-	for as, wantRIB := range want.ribs {
-		if got.ribs[as] != wantRIB {
-			t.Errorf("seed %d: AS%d post-heal Loc-RIB != fault-free run\n got:\n  %s\n want:\n  %s\nschedule:\n%s",
-				seed, as, strings.ReplaceAll(got.ribs[as], "\n", "\n  "),
-				strings.ReplaceAll(wantRIB, "\n", "\n  "), script)
-		}
-	}
-	if got.canon != want.canon {
-		t.Errorf("seed %d: post-heal compilation != fault-free run\n got:\n%s\n want:\n%s\nschedule:\n%s",
-			seed, got.canon, want.canon, script)
-	}
-	for name, wantTable := range want.tables {
-		if got.tables[name] != wantTable {
-			t.Errorf("seed %d: switch %s post-heal table != fault-free run\n got:\n  %s\n want:\n  %s\nschedule:\n%s",
-				seed, name, strings.ReplaceAll(got.tables[name], "\n", "\n  "),
-				strings.ReplaceAll(wantTable, "\n", "\n  "), script)
-		}
-	}
+	compareStates(t, seed, settleAndCapture(t, seed, fd), want, script)
 	probeFabric(t, seed, fd, probes, "faulted")
 
 	reg := fd.Ctrl.Metrics()

@@ -1,17 +1,16 @@
 // Command bgpgen synthesizes BGP update traces with the statistical
 // shape of the paper's Table 1 / §4.3.2 analysis (bursty arrivals, heavy-
-// tailed burst sizes, a small updated-prefix fraction) and writes them as
-// one line per update:
+// tailed burst sizes, a small updated-prefix fraction) and writes them in
+// the textual format of workload.WriteTrace, one line per update:
 //
 //	<offset-ms> <peer-as> announce <prefix> <as-path...>
 //	<offset-ms> <peer-as> withdraw <prefix>
 //
-// The trace replays against an SDX controller with `sdx-bench` or any
+// The trace replays against an SDX controller with sdx-replay or any
 // consumer of the textual format.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -68,17 +67,8 @@ func main() {
 		return
 	}
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for _, e := range tr.Events {
-		if len(e.Update.Withdrawn) > 0 {
-			fmt.Fprintf(w, "%d %d withdraw %s\n", e.At.Milliseconds(), e.Peer, e.Update.Withdrawn[0])
-			continue
-		}
-		fmt.Fprintf(w, "%d %d announce %s", e.At.Milliseconds(), e.Peer, e.Update.NLRI[0])
-		for _, as := range e.Update.Attrs.ASPath {
-			fmt.Fprintf(w, " %d", as)
-		}
-		fmt.Fprintln(w)
+	if err := workload.WriteTrace(os.Stdout, tr); err != nil {
+		fmt.Fprintf(os.Stderr, "bgpgen: %v\n", err)
+		os.Exit(1)
 	}
 }

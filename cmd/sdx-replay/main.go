@@ -1,5 +1,5 @@
 // Command sdx-replay replays a textual BGP update trace (the format
-// cmd/bgpgen emits) against an SDX:
+// cmd/bgpgen emits, read by workload.ReadTrace) against an SDX:
 //
 //	bgpgen -participants 50 -prefixes 5000 -updates 2000 > trace.txt
 //	sdx-replay -participants 50 -prefixes 5000 < trace.txt
@@ -12,23 +12,21 @@
 //
 // With -target <host:port>, updates are instead streamed to a running
 // sdxd over real BGP sessions, one per distinct peer in the trace (the
-// peers must be registered participants there).
+// peers must be registered participants there). Either way each
+// announcement's next hop is its peer's first port IP in the topology the
+// flags describe.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"sdx/internal/bgp"
-	"sdx/internal/core"
 	"sdx/internal/iputil"
 	"sdx/internal/rs"
 	"sdx/internal/workload"
@@ -43,10 +41,12 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the controller's telemetry registry after an in-process replay")
 	flag.Parse()
 
-	events, err := readTrace(os.Stdin)
+	x := workload.NewIXP(workload.DefaultTopology(*participants, *prefixes, *seed))
+	tr, err := workload.ReadTrace(os.Stdin, x)
 	if err != nil {
 		log.Fatal(err)
 	}
+	events := tr.Events
 	log.Printf("loaded %d updates from %d peers", len(events), countPeers(events))
 
 	if *target != "" {
@@ -56,7 +56,6 @@ func main() {
 		return
 	}
 
-	x := workload.NewIXP(workload.DefaultTopology(*participants, *prefixes, *seed))
 	ctrl, err := workload.Load(x)
 	if err != nil {
 		log.Fatal(err)
@@ -71,7 +70,7 @@ func main() {
 	additional, affected, recompiles := 0, 0, 0
 	start := time.Now()
 	for i, e := range events {
-		res := ctrl.ApplyBatch(rs.PeerUpdate{From: e.peer, Update: e.update})
+		res := ctrl.ApplyBatch(rs.PeerUpdate{From: e.Peer, Update: e.Update})
 		times = append(times, res.Elapsed)
 		additional += res.AdditionalRules
 		affected += res.AffectedGroups
@@ -99,74 +98,17 @@ func main() {
 	}
 }
 
-type traceEvent struct {
-	at     time.Duration
-	peer   uint32
-	update *bgp.Update
-}
-
-func readTrace(f *os.File) ([]traceEvent, error) {
-	var out []traceEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		if len(fields) < 4 {
-			return nil, fmt.Errorf("line %d: too few fields", lineno)
-		}
-		ms, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad offset %q", lineno, fields[0])
-		}
-		peer, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad peer %q", lineno, fields[1])
-		}
-		prefix, err := iputil.ParsePrefix(fields[3])
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", lineno, err)
-		}
-		ev := traceEvent{at: time.Duration(ms) * time.Millisecond, peer: uint32(peer)}
-		switch fields[2] {
-		case "withdraw":
-			ev.update = &bgp.Update{Withdrawn: []iputil.Prefix{prefix}}
-		case "announce":
-			attrs := &bgp.PathAttrs{NextHop: core.PortIP(1)}
-			for _, a := range fields[4:] {
-				asn, err := strconv.ParseUint(a, 10, 32)
-				if err != nil {
-					return nil, fmt.Errorf("line %d: bad AS %q", lineno, a)
-				}
-				attrs.ASPath = append(attrs.ASPath, uint32(asn))
-			}
-			if len(attrs.ASPath) == 0 {
-				attrs.ASPath = []uint32{uint32(peer)}
-			}
-			ev.update = &bgp.Update{Attrs: attrs, NLRI: []iputil.Prefix{prefix}}
-		default:
-			return nil, fmt.Errorf("line %d: unknown verb %q", lineno, fields[2])
-		}
-		out = append(out, ev)
-	}
-	return out, sc.Err()
-}
-
-func countPeers(events []traceEvent) int {
+func countPeers(events []workload.TraceEvent) int {
 	seen := map[uint32]bool{}
 	for _, e := range events {
-		seen[e.peer] = true
+		seen[e.Peer] = true
 	}
 	return len(seen)
 }
 
 // stream pushes the trace to a remote route server over one BGP session
 // per peer.
-func stream(target string, events []traceEvent) error {
+func stream(target string, events []workload.TraceEvent) error {
 	sessions := map[uint32]*bgp.Session{}
 	defer func() {
 		for _, s := range sessions {
@@ -177,24 +119,24 @@ func stream(target string, events []traceEvent) error {
 	sent := 0
 	start := time.Now()
 	for _, e := range events {
-		sess := sessions[e.peer]
+		sess := sessions[e.Peer]
 		if sess == nil {
 			conn, err := net.Dial("tcp", target)
 			if err != nil {
 				return err
 			}
 			sess, err = bgp.Establish(conn, bgp.SessionConfig{
-				LocalAS:  e.peer,
-				RouterID: iputil.Addr(e.peer),
+				LocalAS:  e.Peer,
+				RouterID: iputil.Addr(e.Peer),
 			})
 			if err != nil {
-				return fmt.Errorf("peer AS%d: %w", e.peer, err)
+				return fmt.Errorf("peer AS%d: %w", e.Peer, err)
 			}
 			sess.Start()
-			sessions[e.peer] = sess
+			sessions[e.Peer] = sess
 		}
-		if err := sess.SendUpdate(e.update); err != nil {
-			return fmt.Errorf("peer AS%d: %w", e.peer, err)
+		if err := sess.SendUpdate(e.Update); err != nil {
+			return fmt.Errorf("peer AS%d: %w", e.Peer, err)
 		}
 		sent++
 	}

@@ -74,7 +74,7 @@ func eventually(t *testing.T, timeout time.Duration, what string, cond func() er
 // TestDaemonLoopback starts sdxd's assembly on loopback against an
 // in-process switch, attaches one BGP peer, and checks the daemon end to
 // end: the switch's table as read back over the control channel equals
-// the controller's, /health turns 200 once probes come back through the
+// the fabric model's, /health turns 200 once probes come back through the
 // switch, and shutdown returns.
 func TestDaemonLoopback(t *testing.T) {
 	fabric, _ := startSwitch(t, 1, 2, 3)
@@ -118,7 +118,8 @@ policy 100 out fwd 200 dstport 80
 		if len(ctrl.RoutesFor(100)) == 0 {
 			return fmt.Errorf("AS100 has no route yet")
 		}
-		c := d.x.Client(d.x.Switches()[0])
+		name := d.x.Switches()[0]
+		c := d.x.Client(name)
 		if c == nil {
 			return fmt.Errorf("control channel down")
 		}
@@ -126,9 +127,9 @@ policy 100 out fwd 200 dstport 80
 		if err != nil {
 			return err
 		}
-		got, want := ruleDump(openflow.EntriesFromGroups(groups)), ruleDump(ctrl.Switch().Table().Entries())
+		got, want := ruleDump(openflow.EntriesFromGroups(groups)), ruleDump(d.x.Model().Switch(name).Table().Entries())
 		if got != want {
-			return fmt.Errorf("DumpFlows != local table\n remote:\n%s\n local:\n%s", got, want)
+			return fmt.Errorf("DumpFlows != model table\n remote:\n%s\n model:\n%s", got, want)
 		}
 		return nil
 	})

@@ -24,6 +24,12 @@
 // receive VNH-rewritten advertisements, exactly like the in-process
 // examples.
 //
+// With -fabric, the daemon programs one switch holding every participant
+// port of the configuration, as a one-switch fabric: the policy bands
+// plus a static trunk band that forwards traffic no policy touches by
+// destination MAC. Only ARP requests and liveness probes come back to the
+// controller as PACKET_INs.
+//
 // The daemon is flag parsing and configuration loading around one
 // sdx.Exchange, the same assembly the chaos harnesses test.
 package main
@@ -84,7 +90,7 @@ func start(args []string) (*daemon, error) {
 
 	ctrl := sdx.New(sdx.WithLogger(log.Printf))
 	if *configPath != "" {
-		if _, err := loadConfig(ctrl, *configPath); err != nil {
+		if err := loadConfig(ctrl, *configPath); err != nil {
 			return nil, fmt.Errorf("config: %w", err)
 		}
 	}
@@ -135,15 +141,13 @@ func (d *daemon) stop() {
 	}
 }
 
-// loadConfig installs the configuration into ctrl and returns the
-// physical participant ports it declared, in file order.
-func loadConfig(ctrl *sdx.Controller, path string) ([]sdx.PortID, error) {
+// loadConfig installs the configuration into ctrl.
+func loadConfig(ctrl *sdx.Controller, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
-	var ports []sdx.PortID
 
 	type policyLine struct {
 		as      uint32
@@ -161,8 +165,8 @@ func loadConfig(ctrl *sdx.Controller, path string) ([]sdx.PortID, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		fail := func(format string, args ...any) ([]sdx.PortID, error) {
-			return nil, fmt.Errorf("%s:%d: %s", path, lineno, fmt.Sprintf(format, args...))
+		fail := func(format string, args ...any) error {
+			return fmt.Errorf("%s:%d: %s", path, lineno, fmt.Sprintf(format, args...))
 		}
 		switch fields[0] {
 		case "communities":
@@ -190,7 +194,6 @@ func loadConfig(ctrl *sdx.Controller, path string) ([]sdx.PortID, error) {
 						return fail("bad port %q", pf)
 					}
 					cfg.Ports = append(cfg.Ports, sdx.PhysicalPort{ID: sdx.PortID(id)})
-					ports = append(ports, sdx.PortID(id))
 				}
 			}
 			if _, err := ctrl.AddParticipant(cfg); err != nil {
@@ -218,16 +221,21 @@ func loadConfig(ctrl *sdx.Controller, path string) ([]sdx.PortID, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
 
-	// Group policy lines per participant and install.
-	byAS := map[uint32]*struct{ in, out []sdx.Term }{}
+	// Group policy lines per participant and install them in the order
+	// each AS first appears, so an invalid policy is reported the same
+	// way on every run.
+	type terms struct{ in, out []sdx.Term }
+	var order []uint32
+	byAS := map[uint32]*terms{}
 	for _, p := range policies {
 		e := byAS[p.as]
 		if e == nil {
-			e = &struct{ in, out []sdx.Term }{}
+			e = &terms{}
 			byAS[p.as] = e
+			order = append(order, p.as)
 		}
 		if p.inbound {
 			e.in = append(e.in, p.term)
@@ -235,12 +243,12 @@ func loadConfig(ctrl *sdx.Controller, path string) ([]sdx.PortID, error) {
 			e.out = append(e.out, p.term)
 		}
 	}
-	for as, e := range byAS {
-		if err := ctrl.SetPolicy(as, e.in, e.out); err != nil {
-			return nil, fmt.Errorf("%s: policy for AS%d: %w", path, as, err)
+	for _, as := range order {
+		if err := ctrl.SetPolicy(as, byAS[as].in, byAS[as].out); err != nil {
+			return fmt.Errorf("%s: policy for AS%d: %w", path, as, err)
 		}
 	}
-	return ports, nil
+	return nil
 }
 
 func parseTerm(fields []string, inbound bool) (sdx.Term, error) {

@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"sdx"
@@ -31,11 +33,10 @@ policy 100 out drop dstport 25
 policy 200 in port 2 srcip 0.0.0.0/1
 policy 200 in port 3 srcip 128.0.0.0/1
 `)
-	ports, err := loadConfig(ctrl, path)
-	if err != nil {
+	if err := loadConfig(ctrl, path); err != nil {
 		t.Fatal(err)
 	}
-	if want := []sdx.PortID{1, 2, 3}; len(ports) != len(want) || ports[0] != 1 || ports[1] != 2 || ports[2] != 3 {
+	if ports, want := ctrl.Switch().PortIDs(), []sdx.PortID{1, 2, 3}; !slices.Equal(ports, want) {
 		t.Fatalf("ports = %v, want %v", ports, want)
 	}
 	for _, as := range []uint32{100, 200, 400} {
@@ -81,13 +82,28 @@ func TestLoadConfigErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ctrl := sdx.New()
-			if _, err := loadConfig(ctrl, writeConfig(t, tc.conf)); err == nil {
+			if err := loadConfig(ctrl, writeConfig(t, tc.conf)); err == nil {
 				t.Fatalf("config %q should fail", tc.conf)
 			}
 		})
 	}
-	if _, err := loadConfig(sdx.New(), "/nonexistent/path.conf"); err == nil {
+	if err := loadConfig(sdx.New(), "/nonexistent/path.conf"); err == nil {
 		t.Fatal("missing file should fail")
+	}
+
+	// Two invalid policies: the first one in the file is reported, every
+	// time.
+	path := writeConfig(t, `
+participant 100 A 1
+participant 200 B 2
+policy 200 out fwd 999
+policy 100 out fwd 999
+`)
+	for i := 0; i < 20; i++ {
+		err := loadConfig(sdx.New(), path)
+		if err == nil || !strings.Contains(err.Error(), "policy for AS200") {
+			t.Fatalf("run %d: got %v, want the AS200 policy error", i, err)
+		}
 	}
 }
 

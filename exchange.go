@@ -30,13 +30,15 @@ type ExchangeConfig struct {
 	LocalAS uint32
 	// Dial opens the control channel to the named fabric switch, hello
 	// exchange included; the exchange redials whenever the channel dies.
-	// Nil runs without an external fabric: no channel, reconciler or
-	// prober.
+	// Nil runs without an external fabric: no model, channel, reconciler
+	// or prober.
 	Dial func(ctx context.Context, name string) (*openflow.Client, error)
-	// Topology, when non-nil, spreads the policy over several switches:
-	// one channel per member, each driving that member's share of the
-	// fabric model. Nil means one switch whose intended table is the
-	// controller's own.
+	// Topology places the participant ports on the fabric's switches and
+	// links the switches by trunks; each switch gets one channel driving
+	// its share of the fabric model, static trunk band included. Nil means
+	// one switch named "fabric" holding every physical port the controller
+	// has at start: the port set is fixed then, and a port added later is
+	// on no switch. Used only with Dial.
 	Topology *fabric.Topology
 	// Logf receives life-cycle logging; nil discards it.
 	Logf func(format string, args ...any)
@@ -70,7 +72,7 @@ type Exchange struct {
 	ctrl  *Controller
 	srv   *BGPServer
 	queue *core.UpdateQueue
-	model *fabric.Fabric
+	model *fabric.Fabric // every switch's intended table; nil without Dial
 	chans []*channel
 	rec   *reconcile.Reconciler
 	prb   *probe.Prober
@@ -107,7 +109,7 @@ func (ch *channel) registered() *channelSink {
 // channelSink is the controller's mirror for one live channel.
 type channelSink struct {
 	gen   *atomic.Uint64
-	inner core.RuleSink // the channel, or the switch's share of the fabric model
+	inner core.RuleSink // the switch's share of the fabric model, sent on the channel
 	c     *openflow.Client
 }
 
@@ -137,8 +139,8 @@ func StartExchange(ctrl *Controller, cfg ExchangeConfig) (*Exchange, error) {
 	if x.logf == nil {
 		x.logf = func(string, ...any) {}
 	}
-	if cfg.Topology != nil {
-		model, err := fabric.New(*cfg.Topology)
+	if cfg.Dial != nil {
+		model, err := fabric.New(fabricTopology(ctrl, cfg.Topology))
 		if err != nil {
 			return nil, err
 		}
@@ -174,13 +176,23 @@ func StartExchange(ctrl *Controller, cfg ExchangeConfig) (*Exchange, error) {
 	return x, nil
 }
 
-// startFabric builds one channel and reconciler target per switch and
-// the prober, then starts the redialers and the loops.
-func (x *Exchange) startFabric(ctx context.Context, cfg ExchangeConfig) {
-	names := []string{singleSwitch}
-	if x.model != nil {
-		names = x.model.Switches()
+// fabricTopology is topo, or without one a single switch holding every
+// physical port ctrl has.
+func fabricTopology(ctrl *Controller, topo *fabric.Topology) fabric.Topology {
+	if topo != nil {
+		return *topo
 	}
+	one := fabric.Topology{Switches: []string{singleSwitch}, Ports: make(map[PortID]string)}
+	for _, port := range ctrl.Switch().PortIDs() {
+		one.Ports[port] = singleSwitch
+	}
+	return one
+}
+
+// startFabric builds one channel and reconciler target per model switch
+// and the prober, then starts the redialers and the loops.
+func (x *Exchange) startFabric(ctx context.Context, cfg ExchangeConfig) {
+	names := x.model.Switches()
 	targets := make([]reconcile.Target, 0, len(names))
 	for i, name := range names {
 		ch := &channel{name: name}
@@ -194,7 +206,7 @@ func (x *Exchange) startFabric(ctx context.Context, cfg ExchangeConfig) {
 			Logf:       cfg.Logf,
 		}
 		x.chans = append(x.chans, ch)
-		targets = append(targets, x.target(ch, cfg.Topology))
+		targets = append(targets, x.target(ch))
 	}
 	x.rec = reconcile.New(reconcile.Config{
 		Interval: cfg.ReconcileInterval,
@@ -242,11 +254,8 @@ func (x *Exchange) startFabric(ctx context.Context, cfg ExchangeConfig) {
 // switch and replays the full rule state into it.
 func (x *Exchange) up(ch *channel, c *openflow.Client) {
 	c.OnPacketIn = x.packetIn(c)
-	var inner core.RuleSink = openflow.Mirror{C: c}
-	if x.model != nil {
-		// The name comes from the model, so the switch exists.
-		inner, _ = x.model.SwitchSink(ch.name, inner)
-	}
+	// The name comes from the model, so the switch exists.
+	inner, _ := x.model.SwitchSink(ch.name, openflow.Mirror{C: c})
 	sink := &channelSink{gen: &ch.gen, inner: inner, c: c}
 	ch.gen.Add(1)
 	ch.mu.Lock()
@@ -269,37 +278,30 @@ func (x *Exchange) down(ch *channel, err error) {
 }
 
 // packetIn handles a switch's PACKET_INs: a probe punted from its
-// destination port goes to the prober, an ARP request is answered, and
-// any other table miss gets normal layer-2 delivery through the same
-// switch.
+// destination port goes to the prober and an ARP request is answered.
+// Any other miss is dropped: the trunk band forwards every participant
+// MAC, so what is left is addressed to no port.
 func (x *Exchange) packetIn(c *openflow.Client) func(pkt.Packet) {
 	return func(p pkt.Packet) {
 		if to, ok := probe.Destination(p); ok && to == p.InPort {
 			x.prb.Deliver(p.InPort, p)
 			return
 		}
-		// A failed PACKET_OUT means the channel died; the packet is
+		// A failed PACKET_OUT means the channel died; the reply is
 		// dropped like any other miss, and the redialer reconnects.
 		if reply, ok := x.ctrl.HandleARP(p); ok {
 			_ = c.PacketOut(p.InPort, reply)
-			return
-		}
-		if egress, ok := x.ctrl.NormalEgress(p); ok {
-			_ = c.PacketOut(egress, p)
 		}
 	}
 }
 
-// target is the reconciler's view of one switch: the intended table, the
-// installed one read back over the channel, and the fence.
-func (x *Exchange) target(ch *channel, topo *fabric.Topology) reconcile.Target {
-	intended := x.ctrl.Switch().Table().Entries
-	if x.model != nil {
-		intended = x.model.Switch(ch.name).Table().Entries
-	}
+// target is the reconciler's view of one switch: the intended table from
+// the model, the installed one read back over the channel, and the fence.
+func (x *Exchange) target(ch *channel) reconcile.Target {
+	topo := x.model.Topo()
 	return reconcile.Target{
 		Name:     ch.name,
-		Intended: intended,
+		Intended: x.model.Switch(ch.name).Table().Entries,
 		Installed: func() ([]*dataplane.FlowEntry, bool) {
 			c := ch.red.Client()
 			if c == nil {
@@ -328,17 +330,13 @@ func (x *Exchange) target(ch *channel, topo *fabric.Topology) reconcile.Target {
 				x.ctrl.Resync(s)
 			}
 		},
-		Topo: topo,
+		Topo: &topo,
 	}
 }
 
 // inject offers a probe to the switch owning its source port.
 func (x *Exchange) inject(port PortID, p pkt.Packet) bool {
-	name := singleSwitch
-	if x.model != nil {
-		name = x.model.Topo().Ports[port]
-	}
-	c := x.Client(name)
+	c := x.Client(x.model.Topo().Ports[port])
 	return c != nil && c.Inject(port, p) == nil
 }
 
@@ -423,7 +421,7 @@ func (x *Exchange) Client(name string) *openflow.Client {
 	return nil
 }
 
-// Model returns the fabric model, or nil without a topology.
+// Model returns the fabric model, or nil without Dial.
 func (x *Exchange) Model() *fabric.Fabric { return x.model }
 
 // Reconciler returns the reconciler, or nil without a fabric.

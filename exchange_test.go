@@ -144,7 +144,7 @@ func TestExchangeFencesRepairOnControllerWrite(t *testing.T) {
 	}
 
 	barrier(t, x)
-	want := dump(ctrl.Switch().Table().Entries())
+	want := dump(x.Model().Switch(x.Switches()[0]).Table().Entries())
 	if got := dump(remote.Table().Entries()); got != want {
 		t.Fatalf("remote table != new intent after the fenced pass\n remote:\n%s\n intent:\n%s", got, want)
 	}

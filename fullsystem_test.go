@@ -10,7 +10,8 @@ package sdx
 //
 // The controller never touches the fabric switch directly: rules travel
 // through FLOW_MODs, table misses return as PACKET_INs, and routers learn
-// virtual next hops through genuine BGP UPDATE messages.
+// virtual next hops through genuine BGP UPDATE messages. Traffic no policy
+// touches never misses: the fabric's trunk band forwards it by MAC.
 
 import (
 	"context"
@@ -165,9 +166,8 @@ func TestFullSystemOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same Exchange sdxd runs: it programs the fabric over the
-	// control channel, and remote table misses take the controller's
-	// normal L2 path back as PACKET_OUTs.
+	// The same Exchange sdxd runs: it programs the one-switch fabric
+	// model's table, trunk band included, over the control channel.
 	x, err := StartExchange(ctrl, ExchangeConfig{
 		Listener: bgpLn,
 		LocalAS:  64512,
@@ -209,6 +209,30 @@ func TestFullSystemOverTCP(t *testing.T) {
 		t.Fatalf("pre-policy next hop %v, want C's port IP", nh)
 	}
 
+	// That traffic stays in the switch: the trunk band forwards it to C
+	// by C's real MAC, so the controller sees no PACKET_IN.
+	cMAC, ok := ctrl.ARP().Resolve(PortIP(4))
+	if !ok {
+		t.Fatal("ARP resolution failed for C's port IP")
+	}
+	packetIns := func() int64 { return ctrl.Metrics().Snapshot().Gauges["openflow.packet_ins"] }
+	before := packetIns()
+	fabric.Inject(1, pkt.Packet{
+		SrcMAC: core.PortMAC(1), DstMAC: cMAC, EthType: pkt.EthTypeIPv4,
+		SrcIP: MustParseAddr("50.0.0.1"), DstIP: MustParseAddr("11.1.1.1"),
+		Proto: pkt.ProtoTCP, SrcPort: 40000, DstPort: 22,
+	})
+	deadline := time.Now().Add(3 * time.Second)
+	for len(c.take(t)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("C never received A's pre-policy packet")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := packetIns() - before; n != 0 {
+		t.Fatalf("pre-policy packet took %d PACKET_INs, want 0", n)
+	}
+
 	// AS A installs application-specific peering. The controller pushes
 	// rules over the control channel and re-advertises p1 with a VNH.
 	if rep := ctrl.Recompile(CompilePolicy(100, nil, []Term{
@@ -216,7 +240,7 @@ func TestFullSystemOverTCP(t *testing.T) {
 	})); rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
+	deadline = time.Now().Add(3 * time.Second)
 	for {
 		if nh := a.waitFIB(t, MustParseAddr("11.1.1.1")); VNHSubnet.Contains(nh) {
 			break

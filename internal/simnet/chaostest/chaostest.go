@@ -1,15 +1,15 @@
 // Package chaostest assembles a complete SDX deployment — controller,
 // BGP route-server endpoint, participant border-router simulators and a
-// remote OpenFlow fabric — entirely over an internal/simnet Network, and
-// provides the convergence and golden-run comparison helpers the chaos
-// soak tests assert with.
+// remote OpenFlow fabric of one switch or several — entirely over an
+// internal/simnet Network, and provides the convergence and golden-run
+// comparison helpers the chaos soak tests assert with.
 //
-// The same Deployment runs twice per seed: once over a fault-free
+// The same FabricDeployment runs twice per seed: once over a fault-free
 // network (the golden run) and once under a simnet.GenScript fault
 // schedule. After the script completes and tainted transports are
 // bounced, the faulted run must converge to exactly the golden run's
-// state: identical Loc-RIBs at every border router and an identical
-// installed rule table on the remote fabric. VNH/VMAC allocation order
+// state: identical Loc-RIBs at every border router and identical
+// installed rule tables on the remote fabric. VNH/VMAC allocation order
 // differs between runs (fault-driven churn allocates extra pairs), so
 // cross-run comparisons go through Normalize, which rewrites those
 // assignments into first-occurrence tokens.
@@ -28,14 +28,11 @@ import (
 	"sdx"
 	"sdx/internal/bgp"
 	"sdx/internal/dataplane"
-	"sdx/internal/fabric"
 	"sdx/internal/iputil"
 	"sdx/internal/openflow"
 	"sdx/internal/pkt"
 	"sdx/internal/probe"
-	"sdx/internal/reconcile"
 	"sdx/internal/simnet"
-	"sdx/internal/verify"
 )
 
 // Announcement is one prefix a border router originates.
@@ -70,21 +67,6 @@ func (s PeerSpec) ports() []pkt.PortID {
 	return append([]pkt.PortID{s.Port}, s.ExtraPorts...)
 }
 
-// OFTag is the simnet tag of the OpenFlow control channel.
-const OFTag = "ofctl"
-
-// Targets maps a deployment's transports to simnet fault targets, with
-// the listener peers filled in so simnet.GenScript can schedule
-// asymmetric (one-direction) partitions that leave BGP and OpenFlow
-// sessions half-open.
-func Targets(specs []PeerSpec) []simnet.Target {
-	ts := make([]simnet.Target, 0, len(specs)+1)
-	for _, s := range specs {
-		ts = append(ts, simnet.Target{Tag: s.Tag(), Peer: "rs"})
-	}
-	return append(ts, simnet.Target{Tag: OFTag, Peer: "switch"})
-}
-
 // Peer is a simulated border router: a redialing BGP session plus the
 // Loc-RIB it builds from the route server's advertisements. A fresh
 // session is a full table exchange, so the RIB is cleared on every
@@ -114,7 +96,7 @@ func (p *Peer) Established() bool {
 }
 
 // RIBDump renders the peer's Loc-RIB sorted, one route per line, in the
-// same format as Deployment.ServerView.
+// same format as FabricDeployment.ServerView.
 func (p *Peer) RIBDump() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -154,31 +136,6 @@ func (p *Peer) onUpdate(_ *bgp.Session, u *bgp.Update) {
 	}
 }
 
-// stack is what both deployments share: the controller side, the same
-// sdx.Exchange sdxd runs, and the border routers, with their lifetimes.
-// Its exported fields and methods are the deployments' own.
-type stack struct {
-	Net   *simnet.Network
-	Ctrl  *sdx.Controller
-	Peers map[uint32]*Peer
-
-	specs  []PeerSpec
-	x      *sdx.Exchange
-	conv   func() error       // the deployment's Converged
-	lns    []*simnet.Listener // closed on Stop
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-}
-
-// Deployment is one full SDX stack wired over a simnet Network: the
-// simulated remote side (switch, agent, border routers) around the
-// exchange.
-type Deployment struct {
-	*stack
-	Remote *dataplane.Switch
-}
-
 // Options tunes a deployment. The zero value picks chaos-friendly
 // defaults: 1s hold time (the wire floor, so sub-2s stalls and
 // partitions expire it), fast reconnect backoff and sub-second route
@@ -216,124 +173,6 @@ func (o *Options) fill() {
 	}
 }
 
-// Start brings up the whole stack on n: route server listening at "rs",
-// switch agent at "switch", one redialing BGP peer per spec and a
-// redialing OpenFlow control channel (tag OFTag) mirroring the
-// controller's rules to the remote fabric. Seed makes every dialer's
-// retry jitter reproducible.
-func Start(n *simnet.Network, seed int64, specs []PeerSpec, opts Options) (*Deployment, error) {
-	opts.fill()
-	remote := dataplane.NewSwitch("chaos-remote")
-	agent := openflow.NewAgent(remote)
-	for i, spec := range specs {
-		for _, port := range spec.ports() {
-			if err := remote.AddPort(port, fmt.Sprintf("%c%d", 'A'+i, port), puntProbes(agent, port, nil)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	s, err := newStack(n, specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	d := &Deployment{stack: s, Remote: remote}
-	if err := s.serve(agent, "switch"); err != nil {
-		d.Stop()
-		return nil, err
-	}
-	err = s.start(seed, opts, nil, d.Converged, func(string) (string, string) { return "switch", OFTag })
-	if err != nil {
-		d.Stop()
-		return nil, err
-	}
-	return d, nil
-}
-
-// newStack builds the controller for specs; start brings it up.
-func newStack(n *simnet.Network, specs []PeerSpec, opts Options) (*stack, error) {
-	ctrl, err := buildController(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	s := &stack{Net: n, Ctrl: ctrl, specs: specs}
-	s.ctx, s.cancel = context.WithCancel(context.Background())
-	return s, nil
-}
-
-// serve runs a remote switch's agent on the simnet listener name.
-func (s *stack) serve(agent *openflow.Agent, name string) error {
-	ln, err := s.Net.Listen(name)
-	if err != nil {
-		return err
-	}
-	s.lns = append(s.lns, ln)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		_ = agent.ListenAndServe(ln)
-	}()
-	return nil
-}
-
-// start runs the exchange over simnet dialers, endpoint mapping a switch
-// name to the listener and connection tag of its control channel, then
-// starts one redialing border router per spec. Seed makes every dialer's
-// retry jitter reproducible.
-func (s *stack) start(seed int64, opts Options, topo *fabric.Topology, conv func() error,
-	endpoint func(name string) (listener, tag string)) error {
-	rsLn, err := s.Net.Listen("rs")
-	if err != nil {
-		return err
-	}
-	chanSeed := seed + 1
-	if topo != nil {
-		chanSeed = seed + 1000
-	}
-	s.x, err = sdx.StartExchange(s.Ctrl, sdx.ExchangeConfig{
-		Listener: rsLn,
-		LocalAS:  64512,
-		Dial: func(_ context.Context, name string) (*openflow.Client, error) {
-			ln, tag := endpoint(name)
-			conn, err := s.Net.Dial(ln, tag)
-			if err != nil {
-				return nil, err
-			}
-			// Bound the hello exchange: a partition landing mid-handshake
-			// must fail the attempt into the backoff loop, not wedge it.
-			_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-			c, err := openflow.NewClient(conn)
-			if err != nil {
-				return nil, err
-			}
-			_ = conn.SetDeadline(time.Time{})
-			return c, nil
-		},
-		Topology:          topo,
-		Logf:              opts.Logf,
-		ReconcileInterval: opts.ReconcileInterval,
-		ProbeInterval:     opts.ProbeInterval,
-		MinBackoff:        opts.MinBackoff,
-		MaxBackoff:        opts.MaxBackoff,
-		Seed:              chanSeed,
-	})
-	if err != nil {
-		_ = rsLn.Close()
-		return err
-	}
-	s.conv = conv
-	s.Peers = make(map[uint32]*Peer, len(s.specs))
-	for _, spec := range s.specs {
-		p := newPeer(s.Net, s.Ctrl, spec, opts, seed)
-		s.Peers[spec.AS] = p
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			_ = p.dialer.Run(s.ctx)
-		}()
-	}
-	return nil
-}
-
 // puntProbes is a remote port's delivery handler, the way sdx-switch
 // delivers: a liveness probe goes back to the controller as a PACKET_IN
 // stamped with the delivery port, anything else to app (nil drops it).
@@ -349,9 +188,6 @@ func puntProbes(agent *openflow.Agent, port pkt.PortID, app func(pkt.Packet)) fu
 		}
 	}
 }
-
-// ReconcileOnce drives one deterministic reconciler pass.
-func (s *stack) ReconcileOnce() reconcile.Summary { return s.x.Reconciler().RunOnce() }
 
 // buildController assembles a controller with the specs' participants and
 // policies installed; the exchange runs the initial compile.
@@ -409,98 +245,16 @@ func newPeer(n *simnet.Network, ctrl *sdx.Controller, spec PeerSpec, opts Option
 	return p
 }
 
-// Stop tears the deployment down: the exchange first (its loops, then
-// the route server, then its control channels), then every border
-// router and the remote side's listeners, and waits for all goroutines.
-func (s *stack) Stop() {
-	if s.x != nil {
-		s.x.Stop()
-	}
-	s.cancel()
-	for _, ln := range s.lns {
-		_ = ln.Close()
-	}
-	s.wg.Wait()
-}
-
-// OFClient returns the live OpenFlow client, or nil while the control
-// channel is down.
-func (d *Deployment) OFClient() *openflow.Client { return d.x.Client(d.x.Switches()[0]) }
-
-// ServerView renders what the route server currently advertises to as,
-// sorted, in the same format as Peer.RIBDump.
-func (s *stack) ServerView(as uint32) []string {
-	ads := s.Ctrl.RoutesFor(as)
-	lines := make([]string, 0, len(ads))
-	for _, ad := range ads {
-		lines = append(lines, fmt.Sprintf("%s via %s path %v", ad.Prefix, ad.NextHop, ad.Attrs.ASPath))
-	}
-	sort.Strings(lines)
-	return lines
-}
-
-// sessionsConverged returns nil when every BGP session is Established
-// and every peer's Loc-RIB matches the server's advertised view exactly.
-func (s *stack) sessionsConverged() error {
-	for _, spec := range s.specs {
-		if !s.Peers[spec.AS].Established() {
-			return fmt.Errorf("AS%d: session not established", spec.AS)
-		}
-	}
-	for _, spec := range s.specs {
-		got, want := s.Peers[spec.AS].RIBDump(), s.ServerView(spec.AS)
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			return fmt.Errorf("AS%d Loc-RIB diverges from server view\n peer:\n  %s\n server:\n  %s",
-				spec.AS, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
-		}
-	}
-	return nil
-}
-
-// Converged returns nil when the BGP sessions have converged and the
-// OpenFlow channel is up. Otherwise it describes the first divergence.
-func (d *Deployment) Converged() error {
-	if err := d.sessionsConverged(); err != nil {
-		return err
-	}
-	if d.OFClient() == nil {
-		return fmt.Errorf("openflow control channel down")
-	}
-	return nil
-}
-
-// WaitConverged polls the deployment's Converged until it holds on two
-// consecutive checks (so a mid-churn coincidence does not count) or the
-// timeout passes, in which case the last divergence is returned.
-func (s *stack) WaitConverged(timeout time.Duration) error {
-	_, err := waitConverged(s.Net.Clock(), timeout, s.conv)
-	return err
-}
-
 // ConvergeMetric is the registry histogram recording fault-heal to
-// steady-state latencies, in virtual-clock nanoseconds.
+// steady-state latencies, in nanoseconds.
 const ConvergeMetric = "chaos_converge_ns"
 
-// WaitConvergedTimed is WaitConverged called at the moment a fault heals:
-// it measures the virtual-clock latency until the convergence streak
-// begins and records it into the controller registry's ConvergeMetric
-// histogram, so a chaos run reports p50/p95/p99 convergence times that
-// are independent of the host's real-time load and the polling cadence's
-// confirmation checks.
-func (s *stack) WaitConvergedTimed(timeout time.Duration) error {
-	elapsed, err := waitConverged(s.Net.Clock(), timeout, s.conv)
-	if err == nil {
-		s.Ctrl.Metrics().Histogram(ConvergeMetric).Observe(int64(elapsed))
-	}
-	return err
-}
-
 // waitConverged polls conv until it holds on two consecutive checks or
-// the timeout passes. On success it returns the virtual-clock time from
-// the call to the first check of the successful streak.
-func waitConverged(clock *simnet.Clock, timeout time.Duration, conv func() error) (time.Duration, error) {
-	start := clock.Now()
-	deadline := time.Now().Add(timeout)
+// the timeout passes. On success it returns the time from the call to
+// the first check of the successful streak.
+func waitConverged(timeout time.Duration, conv func() error) (time.Duration, error) {
+	start := time.Now()
+	deadline := start.Add(timeout)
 	streak := 0
 	var at time.Duration
 	var last error
@@ -510,11 +264,11 @@ func waitConverged(clock *simnet.Clock, timeout time.Duration, conv func() error
 			streak = 0
 		} else {
 			if streak == 0 {
-				at = clock.Now()
+				at = time.Since(start)
 			}
 			streak++
 			if streak >= 2 {
-				return at - start, nil
+				return at, nil
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -535,28 +289,6 @@ func ruleDump(t *dataplane.FlowTable) []string {
 	}
 	sort.Strings(lines)
 	return lines
-}
-
-// LocalRules dumps the controller's local fabric table.
-func (d *Deployment) LocalRules() []string { return ruleDump(d.Ctrl.Switch().Table()) }
-
-// RemoteRules dumps the remote fabric's table as programmed over the
-// control channel.
-func (d *Deployment) RemoteRules() []string { return ruleDump(d.Remote.Table()) }
-
-// VerifyTables runs the semantic verifier (internal/verify) over the
-// controller's local table and the remote switch's table as programmed
-// over the control channel: both must be free of equal-priority conflicts
-// and shadowed rules. Chaos soaks call it at converged checkpoints.
-func (d *Deployment) VerifyTables() error {
-	rep := verify.Table(d.Ctrl.Switch().Table())
-	remote := verify.Table(d.Remote.Table())
-	for _, f := range remote.Findings {
-		f.Switch = "remote"
-		rep.Findings = append(rep.Findings, f)
-	}
-	rep.Rules += remote.Rules
-	return rep.Err()
 }
 
 var (

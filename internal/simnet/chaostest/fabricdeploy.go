@@ -1,7 +1,6 @@
-// Fabric deployment: the multi-switch variant of the chaos harness. The
-// single remote switch of Deployment becomes a fabric.Topology of ≥3
-// switches with redundant trunks, where every layer rides a faultable
-// simnet transport:
+// Fabric deployment: the remote side of the chaos harness is a
+// fabric.Topology — one switch, or several joined by redundant trunks —
+// where every layer rides a faultable simnet transport:
 //
 //   - one OpenFlow control channel per switch (tag "ofctl-<name>" against
 //     listener "switch-<name>"), each driving its switch's share of the
@@ -10,15 +9,15 @@
 //   - one simnet pipe per trunk link carrying framed pkt.Packets between
 //     the remote switches, so partitions, stalls, corruption and resets
 //     hit the data plane's cross-switch forwarding, not just control;
-//   - the same redialing BGP peers as the single-switch harness.
+//   - one redialing BGP session per participant's border router.
 //
 // The controller side is the same sdx.Exchange sdxd runs, given the
-// topology: its fabric model (Model) mirrors the controller directly and
-// acts as the authoritative per-switch rule state, and convergence
-// requires every remote table to be byte-identical to its model switch.
-// Because writes into a one-way partition vanish silently, a control
-// channel can stay alive while its flow-mods are lost; the reconciler
-// (Rec), reading each switch back over its channel, repairs that drift.
+// topology: its fabric model mirrors the controller directly and acts as
+// the authoritative per-switch rule state, and convergence requires every
+// remote table to be byte-identical to its model switch. Because writes
+// into a one-way partition vanish silently, a control channel can stay
+// alive while its flow-mods are lost; the exchange's reconciler, reading
+// each switch back over its channel, repairs that drift.
 package chaostest
 
 import (
@@ -33,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"sdx"
 	"sdx/internal/dataplane"
 	"sdx/internal/fabric"
 	"sdx/internal/iputil"
@@ -50,35 +50,40 @@ import (
 func SwitchListener(name string) string { return "switch-" + name }
 func SwitchTag(name string) string      { return "ofctl-" + name }
 
-// FabricDeployment is a multi-switch SDX stack wired over one simnet
-// Network.
-type FabricDeployment struct {
-	*stack
-	Model *fabric.Fabric
+// trunkTag is the simnet tag of topology link i. A pipe's halves are
+// tagged trunkTag and trunkTag+"-peer".
+func trunkTag(i int, l fabric.Link) string { return fmt.Sprintf("trunk%d-%s-%s", i, l.A, l.B) }
 
-	// Rec reconciles every remote switch's installed table against the
-	// local model. Always constructed; its continuous loop runs only
-	// when Options.ReconcileInterval is set (drive it manually with
-	// ReconcileOnce).
-	Rec *reconcile.Reconciler
+// FabricDeployment is one full SDX stack wired over a simnet Network:
+// the simulated remote side (switches, agents, trunks, border routers)
+// around the exchange.
+type FabricDeployment struct {
+	Net   *simnet.Network
+	Ctrl  *sdx.Controller
+	Peers map[uint32]*Peer
 	// Prb probes all participant port pairs of the remote fabric. Always
 	// constructed; its loop runs only when Options.ProbeInterval is set.
 	Prb *probe.Prober
 
-	topo      fabric.Topology
-	names     []string // sorted switch names
-	remote    map[string]*dataplane.Switch
-	trunkTags []string
+	specs  []PeerSpec
+	topo   fabric.Topology
+	names  []string // sorted switch names
+	x      *sdx.Exchange
+	remote map[string]*dataplane.Switch
+	lns    []*simnet.Listener // closed on Stop
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	mu         sync.Mutex
 	appDeliver map[pkt.PortID]func(pkt.Packet)
 }
 
-// StartFabric brings up the multi-switch stack on n: route server at
-// "rs", one remote switch+agent per topology member, per-switch control
-// channels, trunk pipes between the switches, and one redialing BGP peer
-// per spec. Every participant port in the specs must be placed by
-// topo.Ports.
+// StartFabric brings up the whole stack on n: route server at "rs", one
+// remote switch+agent per topology member, per-switch control channels,
+// trunk pipes between the switches, and one redialing BGP peer per spec.
+// Every participant port in the specs must be placed by topo.Ports. Seed
+// makes every dialer's retry jitter reproducible.
 func StartFabric(n *simnet.Network, seed int64, specs []PeerSpec, topo fabric.Topology, opts Options) (*FabricDeployment, error) {
 	opts.fill()
 	for _, spec := range specs {
@@ -88,22 +93,24 @@ func StartFabric(n *simnet.Network, seed int64, specs []PeerSpec, topo fabric.To
 			}
 		}
 	}
-	s, err := newStack(n, specs, opts)
+	ctrl, err := buildController(specs, opts)
 	if err != nil {
 		return nil, err
 	}
 	fd := &FabricDeployment{
-		stack:      s,
+		Net:        n,
+		Ctrl:       ctrl,
+		specs:      specs,
 		topo:       topo,
-		names:      append([]string(nil), topo.Switches...),
+		names:      switchNames(topo),
 		remote:     make(map[string]*dataplane.Switch),
 		appDeliver: make(map[pkt.PortID]func(pkt.Packet)),
 	}
+	fd.ctx, fd.cancel = context.WithCancel(context.Background())
 	fail := func(err error) (*FabricDeployment, error) {
 		fd.Stop()
 		return nil, err
 	}
-	sort.Strings(fd.names)
 
 	// Remote switches and their agents: participant ports per the
 	// topology (delivery punts probes and feeds the application
@@ -135,8 +142,6 @@ func StartFabric(n *simnet.Network, seed int64, specs []PeerSpec, topo fabric.To
 		if err := b.AddPort(l.PortB, "trunk", nil); err != nil {
 			return fail(err)
 		}
-		tag := fmt.Sprintf("trunk%d-%s-%s", i, l.A, l.B)
-		fd.trunkTags = append(fd.trunkTags, tag)
 		outA := make(chan pkt.Packet, 128)
 		outB := make(chan pkt.Packet, 128)
 		if err := a.SetDeliver(l.PortA, enqueue(outA)); err != nil {
@@ -146,20 +151,97 @@ func StartFabric(n *simnet.Network, seed int64, specs []PeerSpec, topo fabric.To
 			return fail(err)
 		}
 		fd.wg.Add(1)
-		go fd.runTrunk(s.ctx, l, tag, outA, outB)
+		go fd.runTrunk(l, trunkTag(i, l), outA, outB)
 	}
 	for _, name := range fd.names {
-		if err := s.serve(agents[name], SwitchListener(name)); err != nil {
+		if err := fd.serve(agents[name], SwitchListener(name)); err != nil {
 			return fail(err)
 		}
 	}
-	err = s.start(seed, opts, &fd.topo, fd.Converged,
-		func(name string) (string, string) { return SwitchListener(name), SwitchTag(name) })
+
+	rsLn, err := n.Listen("rs")
 	if err != nil {
 		return fail(err)
 	}
-	fd.Model, fd.Rec, fd.Prb = fd.x.Model(), fd.x.Reconciler(), fd.x.Prober()
+	fd.x, err = sdx.StartExchange(ctrl, sdx.ExchangeConfig{
+		Listener: rsLn,
+		LocalAS:  64512,
+		Dial: func(_ context.Context, name string) (*openflow.Client, error) {
+			conn, err := n.Dial(SwitchListener(name), SwitchTag(name))
+			if err != nil {
+				return nil, err
+			}
+			// Bound the hello exchange: a partition landing mid-handshake
+			// must fail the attempt into the backoff loop, not wedge it.
+			_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+			c, err := openflow.NewClient(conn)
+			if err != nil {
+				return nil, err
+			}
+			_ = conn.SetDeadline(time.Time{})
+			return c, nil
+		},
+		Topology:          &fd.topo,
+		Logf:              opts.Logf,
+		ReconcileInterval: opts.ReconcileInterval,
+		ProbeInterval:     opts.ProbeInterval,
+		MinBackoff:        opts.MinBackoff,
+		MaxBackoff:        opts.MaxBackoff,
+		Seed:              seed + 1000,
+	})
+	if err != nil {
+		_ = rsLn.Close()
+		return fail(err)
+	}
+	fd.Prb = fd.x.Prober()
+	fd.Peers = make(map[uint32]*Peer, len(specs))
+	for _, spec := range specs {
+		p := newPeer(n, ctrl, spec, opts, seed)
+		fd.Peers[spec.AS] = p
+		fd.wg.Add(1)
+		go func() {
+			defer fd.wg.Done()
+			_ = p.dialer.Run(fd.ctx)
+		}()
+	}
 	return fd, nil
+}
+
+// switchNames returns the topology's switch names, sorted.
+func switchNames(topo fabric.Topology) []string {
+	names := append([]string(nil), topo.Switches...)
+	sort.Strings(names)
+	return names
+}
+
+// serve runs a remote switch's agent on the simnet listener name.
+func (fd *FabricDeployment) serve(agent *openflow.Agent, name string) error {
+	ln, err := fd.Net.Listen(name)
+	if err != nil {
+		return err
+	}
+	fd.lns = append(fd.lns, ln)
+	fd.wg.Add(1)
+	go func() {
+		defer fd.wg.Done()
+		_ = agent.ListenAndServe(ln)
+	}()
+	return nil
+}
+
+// Stop tears the deployment down: the exchange first (its loops, then
+// the route server, then its control channels), then every border
+// router, trunk and the remote side's listeners, and waits for all
+// goroutines.
+func (fd *FabricDeployment) Stop() {
+	if fd.x != nil {
+		fd.x.Stop()
+	}
+	fd.cancel()
+	for _, ln := range fd.lns {
+		_ = ln.Close()
+	}
+	fd.wg.Wait()
 }
 
 // deliverApp hands a delivered packet to the application handler
@@ -173,21 +255,22 @@ func (fd *FabricDeployment) deliverApp(port pkt.PortID, p pkt.Packet) {
 	}
 }
 
-// Targets returns every faultable transport of the deployment with both
-// endpoints named, so GenScript schedules can partition any of them in
-// one direction only: BGP sessions, per-switch control channels and the
-// inter-switch trunks.
-func (fd *FabricDeployment) Targets() []simnet.Target {
-	ts := make([]simnet.Target, 0, len(fd.specs)+len(fd.names)+len(fd.trunkTags))
-	for _, s := range fd.specs {
+// Targets returns every faultable transport of a deployment of specs on
+// topo with both endpoints named, so GenScript schedules can partition
+// any of them in one direction only: BGP sessions, per-switch control
+// channels in sorted switch order, and the inter-switch trunks.
+func Targets(specs []PeerSpec, topo fabric.Topology) []simnet.Target {
+	ts := make([]simnet.Target, 0, len(specs)+len(topo.Switches)+len(topo.Links))
+	for _, s := range specs {
 		ts = append(ts, simnet.Target{Tag: s.Tag(), Peer: "rs"})
 	}
-	for _, name := range fd.names {
+	for _, name := range switchNames(topo) {
 		ts = append(ts, simnet.Target{Tag: SwitchTag(name), Peer: SwitchListener(name)})
 	}
-	for _, tag := range fd.trunkTags {
-		// A pipe's halves are tagged tag and tag+"-peer"; a directed
-		// partition between them starves exactly one trunk direction.
+	for i, l := range topo.Links {
+		// A directed partition between a pipe's halves starves exactly
+		// one trunk direction.
+		tag := trunkTag(i, l)
 		ts = append(ts, simnet.Target{Tag: tag, Peer: tag + "-peer"})
 	}
 	return ts
@@ -205,7 +288,7 @@ func (fd *FabricDeployment) OFClient(name string) *openflow.Client { return fd.x
 // ModelRules dumps the local model's table for one switch — the expected
 // remote state.
 func (fd *FabricDeployment) ModelRules(name string) []string {
-	return ruleDump(fd.Model.Switch(name).Table())
+	return ruleDump(fd.x.Model().Switch(name).Table())
 }
 
 // RemoteRules dumps one remote switch's table as programmed over its
@@ -237,6 +320,39 @@ func (fd *FabricDeployment) OnDeliver(port pkt.PortID, deliver func(pkt.Packet))
 	return nil
 }
 
+// ReconcileOnce drives one deterministic reconciler pass.
+func (fd *FabricDeployment) ReconcileOnce() reconcile.Summary { return fd.x.Reconciler().RunOnce() }
+
+// ServerView renders what the route server currently advertises to as,
+// sorted, in the same format as Peer.RIBDump.
+func (fd *FabricDeployment) ServerView(as uint32) []string {
+	ads := fd.Ctrl.RoutesFor(as)
+	lines := make([]string, 0, len(ads))
+	for _, ad := range ads {
+		lines = append(lines, fmt.Sprintf("%s via %s path %v", ad.Prefix, ad.NextHop, ad.Attrs.ASPath))
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// sessionsConverged returns nil when every BGP session is Established
+// and every peer's Loc-RIB matches the server's advertised view exactly.
+func (fd *FabricDeployment) sessionsConverged() error {
+	for _, spec := range fd.specs {
+		if !fd.Peers[spec.AS].Established() {
+			return fmt.Errorf("AS%d: session not established", spec.AS)
+		}
+	}
+	for _, spec := range fd.specs {
+		got, want := fd.Peers[spec.AS].RIBDump(), fd.ServerView(spec.AS)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			return fmt.Errorf("AS%d Loc-RIB diverges from server view\n peer:\n  %s\n server:\n  %s",
+				spec.AS, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
+	}
+	return nil
+}
+
 // Converged returns nil when the BGP sessions have converged, every
 // control channel is up and every remote switch's table is
 // byte-identical to the local model's. It only observes: drift heals
@@ -258,6 +374,27 @@ func (fd *FabricDeployment) Converged() error {
 	return nil
 }
 
+// WaitConverged polls Converged until it holds on two consecutive checks
+// (so a mid-churn coincidence does not count) or the timeout passes, in
+// which case the last divergence is returned.
+func (fd *FabricDeployment) WaitConverged(timeout time.Duration) error {
+	_, err := waitConverged(timeout, fd.Converged)
+	return err
+}
+
+// WaitConvergedTimed is WaitConverged called at the moment a fault heals:
+// it measures the latency until the convergence streak begins and
+// records it into the controller registry's ConvergeMetric histogram, so
+// a chaos run reports p50/p95/p99 convergence times without the polling
+// cadence's confirmation checks.
+func (fd *FabricDeployment) WaitConvergedTimed(timeout time.Duration) error {
+	elapsed, err := waitConverged(timeout, fd.Converged)
+	if err == nil {
+		fd.Ctrl.Metrics().Histogram(ConvergeMetric).Observe(int64(elapsed))
+	}
+	return err
+}
+
 // VerifyTables runs the semantic verifier (internal/verify) over every
 // switch of both fabrics: the local model and the remote switches as
 // programmed over their control channels. Each table must be free of
@@ -266,7 +403,7 @@ func (fd *FabricDeployment) Converged() error {
 // call it at converged checkpoints — a resync that replayed bands in the
 // wrong shape shows up here even if forwarding happens to agree.
 func (fd *FabricDeployment) VerifyTables() error {
-	rep := verify.Fabric(fd.Model, fd.topo)
+	rep := verify.Fabric(fd.x.Model(), fd.topo)
 	for _, name := range fd.names {
 		es := fd.remote[name].Table().Entries()
 		r := verify.Entries(es)
@@ -302,8 +439,9 @@ func enqueue(ch chan pkt.Packet) func(pkt.Packet) {
 // error (reset, corrupted frame, teardown) drops the pipe and relinks
 // after a short pause; the outbound channels persist across relinks, so
 // only in-flight frames are lost.
-func (fd *FabricDeployment) runTrunk(ctx context.Context, l fabric.Link, tag string, outA, outB chan pkt.Packet) {
+func (fd *FabricDeployment) runTrunk(l fabric.Link, tag string, outA, outB chan pkt.Packet) {
 	defer fd.wg.Done()
+	ctx := fd.ctx
 	for ctx.Err() == nil {
 		ca, cb := fd.Net.Pipe(tag)
 		var once sync.Once

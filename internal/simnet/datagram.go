@@ -117,7 +117,6 @@ type dgram struct {
 // datagram is naturally overtaken by later, earlier-due ones.
 type dhalf struct {
 	n          *Network
-	clock      *Clock
 	prof       Profile
 	label      string
 	blackholed func() bool
@@ -134,7 +133,7 @@ type dhalf struct {
 
 func newDHalf(n *Network, prof Profile, seed int64, label string) *dhalf {
 	h := &dhalf{
-		n: n, clock: n.clock, prof: prof, label: label,
+		n: n, prof: prof, label: label,
 		rng: rand.New(rand.NewSource(seed)), notify: make(chan struct{}),
 		blackholed: func() bool { return false },
 		nextDrop:   -1, nextReorder: -1,
@@ -201,7 +200,7 @@ func (h *dhalf) send(b []byte) error {
 
 	d := dgram{
 		data: append([]byte(nil), b...),
-		due:  time.Now().Add(h.clock.Real(lat)),
+		due:  time.Now().Add(lat),
 		seq:  op,
 	}
 	// Insert sorted by (due, seq): the earliest-due datagram delivers

@@ -46,7 +46,7 @@ func (k StepKind) String() string {
 	return fmt.Sprintf("step(%d)", uint8(k))
 }
 
-// Step is one scripted fault at a virtual offset from script start.
+// Step is one scripted fault at an offset from script start.
 type Step struct {
 	At   time.Duration
 	Kind StepKind
@@ -97,12 +97,12 @@ func (s *Script) String() string {
 	return fmt.Sprintf("script seed=%d\n  %s", s.Seed, strings.Join(s.Trace(), "\n  "))
 }
 
-// Run applies the schedule to a network, sleeping virtual offsets scaled
-// through the network's clock. It returns early if ctx is cancelled.
+// Run applies the schedule to a network, sleeping each step's offset in
+// wall time. It returns early if ctx is cancelled.
 func (s *Script) Run(ctx context.Context, n *Network) error {
 	start := time.Now()
 	for _, st := range s.Steps {
-		wait := n.clock.Real(st.At) - time.Since(start)
+		wait := st.At - time.Since(start)
 		if wait > 0 {
 			t := time.NewTimer(wait)
 			select {
@@ -250,7 +250,7 @@ func GenScript(seed int64, targets []Target) *Script {
 	return &Script{Seed: seed, Steps: steps}
 }
 
-// End returns the virtual time of the script's last step.
+// End returns the offset of the script's last step.
 func (s *Script) End() time.Duration {
 	var end time.Duration
 	for _, st := range s.Steps {

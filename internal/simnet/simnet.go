@@ -66,12 +66,12 @@ var ErrReset = errors.New("simnet: connection reset by peer")
 // Profile shapes every connection created on a Network. The zero value is
 // fully transparent (no latency, no faults).
 type Profile struct {
-	// Latency delays each written chunk's delivery (virtual time).
+	// Latency delays each written chunk's delivery.
 	Latency time.Duration
 	// Jitter adds a uniform random extra delay in [0, Jitter) per chunk.
 	Jitter time.Duration
 	// BandwidthBPS serializes delivery at the given bytes/sec per
-	// direction (virtual time); 0 is unlimited.
+	// direction; 0 is unlimited.
 	BandwidthBPS int64
 	// CorruptEvery flips one random bit on average every CorruptEvery
 	// bytes of stream; 0 disables.
@@ -92,17 +92,16 @@ type Profile struct {
 	// without corrupting itself); 0 disables.
 	ReorderEvery int64
 	// ReorderDelay is how long a held-back datagram is delayed beyond its
-	// normal delivery time (virtual). Zero means a 30ms default.
+	// normal delivery time. Zero means a 30ms default.
 	ReorderDelay time.Duration
 }
 
 // Network is a collection of simulated listeners and connections sharing
-// one seed, one fault profile and one virtual clock. All methods are safe
+// one seed and one fault profile. All methods are safe
 // for concurrent use.
 type Network struct {
-	seed  int64
-	prof  Profile
-	clock *Clock
+	seed int64
+	prof Profile
 
 	mu        sync.Mutex
 	closed    bool
@@ -122,17 +121,10 @@ type Option func(*Network)
 // WithProfile sets the fault profile applied to every connection.
 func WithProfile(p Profile) Option { return func(n *Network) { n.prof = p } }
 
-// WithTimeScale compresses virtual time: scale 10 delivers a 500ms
-// virtual latency in 50ms of wall time. Scale <= 0 or 1 is real time.
-func WithTimeScale(scale float64) Option {
-	return func(n *Network) { n.clock = NewClock(scale) }
-}
-
 // New returns a network whose every fault decision derives from seed.
 func New(seed int64, opts ...Option) *Network {
 	n := &Network{
 		seed:      seed,
-		clock:     NewClock(1),
 		listeners: make(map[string]*Listener),
 		partTag:   make(map[string]bool),
 		partDir:   make(map[string]map[string]bool),
@@ -142,9 +134,6 @@ func New(seed int64, opts ...Option) *Network {
 	}
 	return n
 }
-
-// Clock returns the network's virtual clock.
-func (n *Network) Clock() *Clock { return n.clock }
 
 // Trace returns the fault events recorded so far, in application order.
 // Per-connection-direction subsequences are deterministic for a given
@@ -307,10 +296,10 @@ func (n *Network) ResetTainted() int {
 }
 
 // Stall freezes delivery on every live connection tagged tag for the
-// given (virtual) duration: bytes written keep accumulating but nothing
+// given duration: bytes written keep accumulating but nothing
 // is readable until the window passes.
 func (n *Network) Stall(tag string, d time.Duration) int {
-	until := time.Now().Add(n.clock.Real(d))
+	until := time.Now().Add(d)
 	targets := n.pairsWithTag(tag)
 	for _, c := range targets {
 		c.rd.stall(until)
@@ -579,7 +568,6 @@ type chunk struct {
 // possibly damaged) chunks, the reader consumes them once due.
 type half struct {
 	n          *Network
-	clock      *Clock
 	prof       Profile
 	label      string
 	tainted    *atomic.Bool
@@ -601,7 +589,7 @@ type half struct {
 
 func newHalf(n *Network, prof Profile, tainted *atomic.Bool, seed int64, label string) *half {
 	h := &half{
-		n: n, clock: n.clock, prof: prof, label: label, tainted: tainted,
+		n: n, prof: prof, label: label, tainted: tainted,
 		rng: rand.New(rand.NewSource(seed)), notify: make(chan struct{}),
 		blackholed:  func() bool { return false },
 		nextCorrupt: -1, nextShortW: -1, nextShortR: -1, nextDrop: -1,
@@ -700,8 +688,8 @@ func (h *half) write(b []byte, dl *deadline) (int, error) {
 	if h.prof.Jitter > 0 {
 		lat += time.Duration(h.rng.Int63n(int64(h.prof.Jitter)))
 	}
-	h.busyUntil = start.Add(h.clock.Real(ser))
-	h.buf = append(h.buf, chunk{data: data, due: h.busyUntil.Add(h.clock.Real(lat))})
+	h.busyUntil = start.Add(ser)
+	h.buf = append(h.buf, chunk{data: data, due: h.busyUntil.Add(lat)})
 	h.wOff += int64(n)
 	h.broadcastLocked()
 	h.mu.Unlock()

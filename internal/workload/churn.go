@@ -92,12 +92,8 @@ func GenerateChurn(x *IXP, cfg ChurnConfig) *Trace {
 			for h := 0; h < 1+rng.Intn(3); h++ {
 				path = append(path, uint32(900+rng.Intn(100)))
 			}
-			nh := iputil.Addr(peer)
-			if wp := x.Participant(peer); wp != nil && len(wp.Ports) > 0 {
-				nh = wp.Ports[0].IP()
-			}
 			u = &bgp.Update{
-				Attrs: &bgp.PathAttrs{ASPath: path, NextHop: nh},
+				Attrs: &bgp.PathAttrs{ASPath: path, NextHop: x.nextHop(peer)},
 				NLRI:  []iputil.Prefix{q},
 			}
 		}

@@ -197,6 +197,16 @@ func (x *IXP) Participant(as uint32) *Participant {
 	return nil
 }
 
+// nextHop is the next hop a trace announcement from peer carries: the
+// participant's first port IP, or the AS number as an address for a
+// participant without ports.
+func (x *IXP) nextHop(peer uint32) iputil.Addr {
+	if p := x.Participant(peer); p != nil && len(p.Ports) > 0 {
+		return p.Ports[0].IP()
+	}
+	return iputil.Addr(peer)
+}
+
 // Rand exposes the topology's seeded RNG for downstream generators that
 // want a correlated stream.
 func (x *IXP) Rand() *rand.Rand { return x.rng }
